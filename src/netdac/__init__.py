@@ -13,7 +13,6 @@ from .approx import (
     CompatibleRFeatures,
     FeatureMap,
     FourierFeatures,
-    LinearModel,
     TabularFeatures,
 )
 from .config import MetricsRow, RunConfig, load_config, parse_config, serialize_config
@@ -40,7 +39,6 @@ from .network import (
     CommGraph,
     GraphProcess,
     check_assumption_random_matrices,
-    consensus_step,
     metropolis_weights,
 )
 from .oracle import (

@@ -1,8 +1,11 @@
-"""Linear function approximation for critics.
+"""Feature maps for linear critics.
 
-A critic is a linear model ``f(s, a) = phi(s, a) . w`` over a feature map.
-Feature maps expose both their value and the Jacobian of the features with
-respect to each agent's action, which the actor update needs.
+A critic is linear in its weights, ``f(s, a) = phi(s, a) . w``; its value is
+``features.eval(s, a) @ w`` and its action-gradient for agent i is
+``features.grad_action(s, a, i) @ w``.  Feature maps expose the features on
+one joint action, on a batch of flat joint actions (for the oracles), and
+the Jacobian of the features with respect to each agent's action, which the
+actor update needs.
 
 Feature families
 ----------------
@@ -21,7 +24,6 @@ Feature families
 """
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -31,15 +33,10 @@ from .policy import PolicySet
 
 __all__ = [
     "FeatureMap",
-    "LinearModel",
     "CompatibleQFeatures",
     "CompatibleRFeatures",
     "FourierFeatures",
     "TabularFeatures",
-    "q_value",
-    "q_grad_action",
-    "r_value",
-    "r_grad_action",
 ]
 
 
@@ -62,68 +59,9 @@ class FeatureMap(abc.ABC):
     def grad_action(self, s: int, actions, i: int) -> np.ndarray:
         """d phi / d a^i, shape (n_i, dim)."""
 
-    #: Per-agent action dimensions, when the map knows them (used by
-    #: eval_batch to split flat joint actions).
-    action_dims: tuple = None
-
+    @abc.abstractmethod
     def eval_batch(self, s: int, flat_actions: np.ndarray) -> np.ndarray:
-        """phi over a (T, n_total) batch of flat joint actions, shape (T, dim).
-
-        The base implementation loops; subclasses override with vectorized
-        versions where the structure allows it.
-        """
-        flat_actions = np.asarray(flat_actions, dtype=float)
-        if self.action_dims is None:
-            raise DimensionMismatch("feature map does not know per-agent action dims")
-        starts = np.cumsum((0,) + tuple(self.action_dims))
-        out = np.empty((flat_actions.shape[0], self.dim))
-        for t in range(flat_actions.shape[0]):
-            acts = [flat_actions[t, starts[i] : starts[i + 1]] for i in range(len(starts) - 1)]
-            out[t] = self.eval(s, acts)
-        return out
-
-
-@dataclass
-class LinearModel:
-    """f(s, a) = phi(s, a) . weights."""
-
-    features: FeatureMap
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.weights.shape != (self.features.dim,):
-            raise DimensionMismatch(
-                f"weights have shape {self.weights.shape}, expected ({self.features.dim},)"
-            )
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights contain non-finite entries")
-
-    def value(self, s: int, actions) -> float:
-        return float(self.features.eval(s, actions) @ self.weights)
-
-    def grad_action(self, s: int, actions, i: int) -> np.ndarray:
-        return self.features.grad_action(s, actions, i) @ self.weights
-
-
-def q_value(model: LinearModel, s: int, actions) -> float:
-    """Fitted action-value Q-hat(s, a)."""
-    return model.value(s, actions)
-
-
-def q_grad_action(model: LinearModel, s: int, actions, i: int) -> np.ndarray:
-    """d Q-hat / d a^i, shape (n_i,)."""
-    return model.grad_action(s, actions, i)
-
-
-def r_value(model: LinearModel, s: int, actions) -> float:
-    """Fitted average-reward model Rbar-hat(s, a)."""
-    return model.value(s, actions)
-
-
-def r_grad_action(model: LinearModel, s: int, actions, i: int) -> np.ndarray:
-    """d Rbar-hat / d a^i, shape (n_i,)."""
-    return model.grad_action(s, actions, i)
+        """phi over a (T, n_total) batch of flat joint actions, shape (T, dim)."""
 
 
 class _PolicyJacobianFeatures(FeatureMap):
@@ -136,7 +74,6 @@ class _PolicyJacobianFeatures(FeatureMap):
         self.policy = policy
         self.centered = centered
         self.bias = bias
-        self.action_dims = policy.action_dims
         self._block_starts = np.cumsum((0,) + policy.param_dims)
         self.dim = policy.total_param_dim + (1 if bias else 0)
         self._grad_cache = {}  # action gradients depend on (s, i) only
@@ -276,11 +213,10 @@ class TabularFeatures(FeatureMap):
     exchanges_jacobians = False
     action_independent_grad = True
 
-    def __init__(self, n_states: int, action_dims=None):
+    def __init__(self, n_states: int):
         if n_states < 1:
             raise ValueError("n_states must be >= 1")
         self.n_states = int(n_states)
-        self.action_dims = tuple(int(d) for d in action_dims) if action_dims else None
         self.dim = self.n_states
 
     def eval(self, s, actions) -> np.ndarray:

@@ -51,7 +51,7 @@ from .approx import (
 )
 from .config import MetricsRow, RunConfig
 from .env import ContinuousBandit, FiniteTestMdp, NetworkedMdp, make_bandit, make_finite_mdp
-from .errors import Diverged
+from .errors import ConfigError, Diverged
 from .linalg import project_box, stationary_distribution
 from .network import (
     CommGraph,
@@ -78,8 +78,6 @@ __all__ = [
     "build_policy",
     "build_features",
     "build_graph",
-    "PolicySet",
-    "GaussianNoise",
 ]
 
 #: Iterates whose magnitude passes this bound abort the run.
@@ -166,13 +164,14 @@ class TrainState:
         self._cached_phi_actions = actions
 
     def check_finite(self) -> None:
-        worst = max(
-            float(np.max(np.abs(self.critic))) if self.critic.size else 0.0,
-            float(np.max(np.abs(self.jhat))) if self.jhat.size else 0.0,
-            max(float(np.max(np.abs(t))) for t in self.policy.theta),
-        )
-        if not np.isfinite(worst) or worst > DIVERGENCE_BOUND:
-            raise Diverged(f"iterate magnitude {worst:.3e} at step {self.t}")
+        """Raise Diverged naming the first iterate that is non-finite or too large."""
+        iterates = [("critic", self.critic), ("jhat", self.jhat)]
+        iterates += [(f"theta[{i}]", t) for i, t in enumerate(self.policy.theta)]
+        for name, value in iterates:
+            worst = float(np.max(np.abs(value))) if value.size else 0.0
+            # np.max propagates NaN, and NaN fails every comparison.
+            if not worst <= DIVERGENCE_BOUND:
+                raise Diverged(f"{name} magnitude {worst:.3e} at step {self.t}")
 
 
 def init_train_state(
@@ -218,6 +217,17 @@ def _actor_direction(
     return policy.jac(i, s) @ gq
 
 
+def _actor_step(state: TrainState, dirs, beta_th: float) -> float:
+    """theta^i <- proj[theta^i + beta_th g^i] in agent order; returns |(g^1, ..., g^N)|."""
+    policy = state.policy
+    norm_sq = 0.0
+    for i, g in enumerate(dirs):
+        policy.theta[i] = project_box(policy.theta[i] + beta_th * g, policy.lo, policy.hi)
+        norm_sq += float(g @ g)
+    state.policy_version += 1
+    return float(np.sqrt(norm_sq))
+
+
 def _log_comm(state: TrainState, features: FeatureMap, directed_edges: int) -> None:
     k = features.dim
     state.comm_scalars += k * directed_edges
@@ -257,23 +267,20 @@ def alg1_step(
     jhat_new = (1.0 - beta_w) * state.jhat + beta_w * r
     w_tilde = w + beta_w * delta[:, None] * phi[None, :]
 
-    grad_norm_sq = 0.0
+    grad_norm = 0.0
     if update_actor:
         dirs = [
             _actor_direction(policy, features, w, s, acts, i)
             for i in range(mdp.agent_count)
         ]
-        for i, g in enumerate(dirs):
-            policy.theta[i] = project_box(policy.theta[i] + beta_th * g, policy.lo, policy.hi)
-            grad_norm_sq += float(g @ g)
-        state.policy_version += 1
+        grad_norm = _actor_step(state, dirs, beta_th)
 
     c = process.sample_weights()
     state.critic = c @ w_tilde
     state.jhat = jhat_new
     _log_comm(state, features, process.directed_edge_count(c))
 
-    state.last_actor_grad_norm = float(np.sqrt(grad_norm_sq))
+    state.last_actor_grad_norm = grad_norm
     state.t = t + 1
     state.s = s_next
     state.actions = a_next
@@ -304,7 +311,7 @@ def alg2_step(
     delta = r - lam @ w_feat
     lam_tilde = lam + beta_l * delta[:, None] * w_feat[None, :]
 
-    grad_norm_sq = 0.0
+    grad_norm = 0.0
     if update_actor:
         # The actor gradient is taken at the on-policy action mu_theta(s_t).
         mu_acts = policy.act(s)
@@ -312,10 +319,7 @@ def alg2_step(
             _actor_direction(policy, features, lam, s, mu_acts, i)
             for i in range(mdp.agent_count)
         ]
-        for i, g in enumerate(dirs):
-            policy.theta[i] = project_box(policy.theta[i] + beta_th * g, policy.lo, policy.hi)
-            grad_norm_sq += float(g @ g)
-        state.policy_version += 1
+        grad_norm = _actor_step(state, dirs, beta_th)
 
     c = process.sample_weights()
     state.critic = c @ lam_tilde
@@ -324,7 +328,7 @@ def alg2_step(
     # The next behavior action is drawn around the post-update policy.
     a_next = behavior.sample(policy, s_next, state.rngs["behavior"])
 
-    state.last_actor_grad_norm = float(np.sqrt(grad_norm_sq))
+    state.last_actor_grad_norm = grad_norm
     state.t = t + 1
     state.s = s_next
     state.actions = a_next
@@ -393,7 +397,7 @@ def build_features(config: RunConfig, mdp: NetworkedMdp, policy: PolicySet) -> F
         return FourierFeatures(
             mdp.state_count, mdp.action_dims, config.feature_count, seed=config.feature_seed
         )
-    return TabularFeatures(mdp.state_count, mdp.action_dims)
+    return TabularFeatures(mdp.state_count)
 
 
 def build_graph(config: RunConfig) -> CommGraph:
@@ -410,7 +414,11 @@ def build_graph(config: RunConfig) -> CommGraph:
         return makers[name](config.agents)
     _, _, path = name.partition(":")
     with open(path, "r", encoding="utf-8") as fh:
-        return load_edge_list(fh.read(), n=config.agents)
+        text = fh.read()
+    try:
+        return load_edge_list(text, n=config.agents)
+    except ValueError as exc:
+        raise ConfigError(f"topology file {path}: {exc}") from exc
 
 
 def _batch_actor_update(
@@ -443,14 +451,9 @@ def _batch_actor_update(
             for i in range(n):
                 grads[i] += _actor_direction(policy, features, state.critic, s, acts, i)
     grads = [g / len(samples) for g in grads]
-    beta_th = schedule.beta_actor(batch_index)
-    norm_sq = 0.0
-    for i, g in enumerate(grads):
-        policy.theta[i] = project_box(policy.theta[i] + beta_th * g, policy.lo, policy.hi)
-        norm_sq += float(g @ g)
-    state.policy_version += 1
+    grad_norm = _actor_step(state, grads, schedule.beta_actor(batch_index))
     state.check_finite()
-    return float(np.sqrt(norm_sq))
+    return grad_norm
 
 
 def run_experiment(config: RunConfig, seed: int = None) -> list:
@@ -518,7 +521,8 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
                 state.critic[:] = 0.0
             samples = []
             for _ in range(batch_size):
-                samples.append((state.s, [a.copy() for a in state.actions]))
+                # Every step replaces state.actions with fresh arrays.
+                samples.append((state.s, state.actions))
                 step_fn(
                     state, mdp, features, process, schedule, exploration, update_actor=False
                 )

@@ -16,8 +16,28 @@ Two concrete environments are provided:
   every closed-form quantity (stationary distribution, average reward, exact
   policy gradient) computable by the oracle module.
 
-Joint actions are lists of 1-D float arrays, one per agent (agents may have
-different action dimensions).
+The interface
+-------------
+The simulator (:mod:`netdac.dac`) and the oracles (:mod:`netdac.oracle`)
+read an environment only through the abstract methods of
+:class:`NetworkedMdp`, which every environment implements:
+
+* single joint action, a list of 1-D float arrays, one per agent (agents
+  may have different action dimensions) — ``local_rewards`` (all agents'
+  rewards, used by training), ``mean_reward`` (Rbar) and ``transition_row``
+  (the distribution over next states);
+* a batch of T flat joint actions, a ``(T, n_total)`` array whose row is the
+  agents' actions concatenated in agent order — ``mean_reward_batch``
+  (shape ``(T,)``) and ``transition_row_batch`` (shape ``(T, S)``), used by
+  the quadrature and Monte-Carlo oracles;
+* analytic action gradients for agent i — ``reward_grad_action`` (d Rbar /
+  d a^i, shape ``(n_i,)``) and ``transition_grad_action`` (d P(.|s, a) /
+  d a^i, shape ``(n_i, S)``), used by the exact policy gradient.
+
+The single-action and batch forms agree to roundoff, not bit for bit: each
+keeps its own order of summation, and training outputs depend on the
+single-action arithmetic.  :meth:`NetworkedMdp.transition` is the one
+concrete sampler, by inverse CDF on ``transition_row``.
 """
 
 import abc
@@ -35,9 +55,7 @@ __all__ = [
     "bandit_reward_grad",
     "make_bandit",
     "make_finite_mdp",
-    "sample_transition",
     "pack_actions",
-    "unpack_actions",
 ]
 
 
@@ -46,21 +64,8 @@ def pack_actions(actions) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=float).ravel() for a in actions])
 
 
-def unpack_actions(flat, dims) -> list:
-    """Split a flat joint-action vector back into per-agent vectors."""
-    flat = np.asarray(flat, dtype=float).ravel()
-    if flat.size != sum(dims):
-        raise DimensionMismatch(f"flat action has {flat.size} entries, expected {sum(dims)}")
-    out = []
-    k = 0
-    for d in dims:
-        out.append(flat[k : k + d].copy())
-        k += d
-    return out
-
-
 class NetworkedMdp(abc.ABC):
-    """Interface every environment implements.
+    """Interface every environment implements (see the module docstring).
 
     Attributes
     ----------
@@ -77,61 +82,43 @@ class NetworkedMdp(abc.ABC):
     action_dims: tuple
 
     @abc.abstractmethod
-    def transition_prob(self, s: int, actions, s_next: int) -> float:
-        """P(s_next | s, a)."""
+    def local_rewards(self, s: int, actions) -> np.ndarray:
+        """All agents' rewards r^i(s, a), shape (N,)."""
 
     @abc.abstractmethod
-    def local_reward(self, i: int, s: int, actions) -> float:
-        """Agent i's private reward r^i(s, a)."""
-
     def mean_reward(self, s: int, actions) -> float:
         """Globally averaged reward Rbar(s, a) = mean_i r^i(s, a)."""
-        n = self.agent_count
-        return float(sum(self.local_reward(i, s, actions) for i in range(n)) / n)
 
-    def local_rewards(self, s: int, actions) -> np.ndarray:
-        """All agents' rewards at once, shape (N,)."""
-        return np.array([self.local_reward(i, s, actions) for i in range(self.agent_count)])
-
-    def reward_grad_action(self, i: int, s: int, actions) -> np.ndarray:
-        """Gradient of the averaged reward w.r.t. agent i's action, shape (n_i,)."""
-        raise NotImplementedError("this environment does not expose reward gradients")
-
+    @abc.abstractmethod
     def transition_row(self, s: int, actions) -> np.ndarray:
         """Distribution over next states, shape (state_count,)."""
-        return np.array(
-            [self.transition_prob(s, actions, sp) for sp in range(self.state_count)]
-        )
+
+    @abc.abstractmethod
+    def mean_reward_batch(self, s: int, flat_actions: np.ndarray) -> np.ndarray:
+        """Rbar over a (T, n_total) batch of flat joint actions, shape (T,)."""
+
+    @abc.abstractmethod
+    def transition_row_batch(self, s: int, flat_actions: np.ndarray) -> np.ndarray:
+        """Transition rows over a (T, n_total) batch, shape (T, state_count)."""
+
+    @abc.abstractmethod
+    def reward_grad_action(self, i: int, s: int, actions) -> np.ndarray:
+        """Gradient of the averaged reward w.r.t. agent i's action, shape (n_i,)."""
+
+    @abc.abstractmethod
+    def transition_grad_action(self, i: int, s: int, actions) -> np.ndarray:
+        """Jacobian of the transition row w.r.t. agent i's action, shape (n_i, S)."""
 
     def transition(self, s: int, actions, rng: np.random.Generator) -> int:
-        """Sample the next state."""
-        return sample_transition(self, s, actions, rng)
+        """Draw s' ~ P(. | s, a) by inverse-CDF sampling on the transition row.
 
-    def validate_actions(self, actions) -> list:
-        """Coerce and shape-check a joint action; returns per-agent arrays."""
-        if len(actions) != self.agent_count:
-            raise DimensionMismatch(
-                f"joint action has {len(actions)} components, expected {self.agent_count}"
-            )
-        out = []
-        for i, a in enumerate(actions):
-            a = np.atleast_1d(np.asarray(a, dtype=float))
-            if a.shape != (self.action_dims[i],):
-                raise DimensionMismatch(
-                    f"agent {i} action has shape {a.shape}, expected ({self.action_dims[i]},)"
-                )
-            out.append(a)
-        return out
-
-
-def sample_transition(mdp: NetworkedMdp, s: int, actions, rng: np.random.Generator) -> int:
-    """Draw s' ~ P(. | s, a) by inverse-CDF sampling on the transition row."""
-    if mdp.state_count == 1:
-        return 0
-    row = mdp.transition_row(s, actions)
-    cdf = np.cumsum(row)
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), mdp.state_count - 1))
+        A single-state environment draws nothing from ``rng``.
+        """
+        if self.state_count == 1:
+            return 0
+        cdf = np.cumsum(self.transition_row(s, actions))
+        u = rng.random() * cdf[-1]
+        return int(min(np.searchsorted(cdf, u, side="right"), self.state_count - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +177,8 @@ class ContinuousBandit(NetworkedMdp):
             total += a
         return total
 
-    def transition_prob(self, s, actions, s_next) -> float:
-        return 1.0 if s_next == 0 else 0.0
-
-    def transition(self, s, actions, rng) -> int:
-        return 0
-
-    def local_reward(self, i, s, actions) -> float:
-        return bandit_reward(self, actions)
+    def local_rewards(self, s, actions) -> np.ndarray:
+        return np.full(self.agent_count, bandit_reward(self, actions))
 
     def mean_reward(self, s, actions) -> float:
         return bandit_reward(self, actions)
@@ -212,8 +193,11 @@ class ContinuousBandit(NetworkedMdp):
         dev = sums - self.target
         return -np.einsum("tj,jk,tk->t", dev, self.cost, dev)
 
-    def local_rewards(self, s, actions) -> np.ndarray:
-        return np.full(self.agent_count, bandit_reward(self, actions))
+    def transition_row(self, s, actions) -> np.ndarray:
+        return np.ones(1)
+
+    def transition_row_batch(self, s, flat_actions: np.ndarray) -> np.ndarray:
+        return np.ones((len(flat_actions), 1))
 
     def reward_grad_action(self, i, s, actions) -> np.ndarray:
         return bandit_reward_grad(self, actions, i)
@@ -330,11 +314,6 @@ class FiniteTestMdp(NetworkedMdp):
     def action_dims(self) -> tuple:
         return (1,) * self.agent_count
 
-    @property
-    def reward_bound(self) -> float:
-        """A bound on |r^i(s, a)| valid for every agent, state and action."""
-        return float(np.max(np.abs(self.base)) + np.max(np.abs(self.amp)))
-
     def _gate(self, actions) -> float:
         u = float(sum(np.asarray(a, dtype=float).sum() for a in actions))
         return _sigmoid(u)
@@ -342,10 +321,6 @@ class FiniteTestMdp(NetworkedMdp):
     def transition_row(self, s, actions) -> np.ndarray:
         g = self._gate(actions)
         return (1.0 - g) * self.p0[s] + g * self.p1[s]
-
-    def transition_prob(self, s, actions, s_next) -> float:
-        g = self._gate(actions)
-        return float((1.0 - g) * self.p0[s, s_next] + g * self.p1[s, s_next])
 
     def transition_row_batch(self, s, flat_actions: np.ndarray) -> np.ndarray:
         """Vectorized transition rows for a (T, N) batch of flat joint actions."""
@@ -357,11 +332,6 @@ class FiniteTestMdp(NetworkedMdp):
         """Jacobian of the transition row w.r.t. agent i's action, shape (1, S)."""
         g = self._gate(actions)
         return (g * (1.0 - g) * (self.p1[s] - self.p0[s]))[None, :]
-
-    def local_reward(self, i, s, actions) -> float:
-        flat = pack_actions(actions)
-        z = self.offset[i, s] + float(self.coef[i] @ flat)
-        return float(self.base[i, s] + self.amp[i, s] * np.tanh(z))
 
     def local_rewards(self, s, actions) -> np.ndarray:
         flat = pack_actions(actions)

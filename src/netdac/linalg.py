@@ -14,7 +14,6 @@ from .errors import DimensionMismatch, SingularMatrix
 __all__ = [
     "solve_linear",
     "stationary_distribution",
-    "spectral_norm",
     "project_box",
 ]
 
@@ -92,38 +91,6 @@ def stationary_distribution(p) -> np.ndarray:
     # Guard against tiny negative entries from roundoff.
     d = np.clip(d, 0.0, None)
     return d / d.sum()
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value of ``a`` via power iteration on ``a.T @ a``.
-
-    Iterates until the Rayleigh-quotient estimate changes by less than a
-    relative 1e-12, with a hard cap of 10,000 iterations.  The start vector
-    is drawn from a fixed-seed generator so results are deterministic.
-    """
-    a = _as_matrix(a)
-    if a.size == 0 or not np.any(a):
-        return 0.0
-    b = a.T @ a
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    est = 0.0
-    for _ in range(10_000):
-        w = b @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v lies exactly in the null space; restart from a fresh direction.
-            v = rng.standard_normal(b.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        est = float(v @ (b @ v))
-        if abs(est - prev) <= 1e-12 * max(abs(est), 1e-300):
-            break
-        prev = est
-    return float(np.sqrt(max(est, 0.0)))
 
 
 def project_box(x, lo, hi) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Agents share critic parameters by repeated local averaging: each step every
 agent replaces its vector with a convex combination of its neighbors' vectors
-using a weight matrix C sampled for that step.  Metropolis weights
+using a weight matrix C sampled for that step (for the (N, d) array of the
+agents' vectors, one round is ``C @ params``).  Metropolis weights
 
     c_ij = 1 / (1 + max(deg(i), deg(j)))        for edges {i, j},
     c_ii = 1 - sum_{j in N(i)} c_ij,
@@ -18,9 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import spectral_norm
-
 __all__ = [
     "CommGraph",
     "path_graph",
@@ -31,7 +29,6 @@ __all__ = [
     "load_edge_list",
     "metropolis_weights",
     "GraphProcess",
-    "consensus_step",
     "ConsensusReport",
     "check_assumption_random_matrices",
 ]
@@ -118,7 +115,9 @@ def load_edge_list(text: str, n: int = None) -> CommGraph:
     """Parse an edge-list description: one ``i j`` pair per line.
 
     Blank lines and ``#`` comments are ignored.  Node count defaults to
-    1 + the largest index mentioned; pass ``n`` to include isolated nodes.
+    1 + the largest index mentioned; pass ``n`` to include isolated nodes
+    (every index must then be below ``n``).  Malformed lines raise
+    ``ValueError`` naming the line.
     """
     edges = []
     top = -1
@@ -137,6 +136,8 @@ def load_edge_list(text: str, n: int = None) -> CommGraph:
             raise ValueError(f"edge list line {ln}: self-loop {i}")
         if i < 0 or j < 0:
             raise ValueError(f"edge list line {ln}: negative node index")
+        if n is not None and max(i, j) >= n:
+            raise ValueError(f"edge list line {ln}: node {max(i, j)} out of range for {n} nodes")
         edges.append((min(i, j), max(i, j)))
         top = max(top, i, j)
     count = (top + 1) if n is None else int(n)
@@ -183,14 +184,6 @@ class GraphProcess:
         self._edges = tuple(self.base.edges)  # already sorted
         self._base_directed = 2 * len(self._edges)
 
-    def sample_graph(self, rng: np.random.Generator = None) -> CommGraph:
-        """The surviving-edge graph for one step."""
-        if self.failure_prob == 0.0:
-            return self.base
-        rng = rng or self.rng
-        keep = rng.random(len(self._edges)) >= self.failure_prob
-        return CommGraph(self.base.n, tuple(e for e, k in zip(self._edges, keep) if k))
-
     def sample_weights(self, rng: np.random.Generator = None) -> np.ndarray:
         """One step's consensus matrix C_t (symmetric, doubly stochastic).
 
@@ -214,36 +207,6 @@ class GraphProcess:
         if c is self.base_weights:
             return self._base_directed
         return int(np.count_nonzero(c) - np.count_nonzero(np.diag(c)))
-
-    def weights_for_graph(self, graph: CommGraph) -> np.ndarray:
-        """Deterministic matrix for a given surviving-edge set."""
-        c = self.base_weights.copy()
-        alive = set(graph.edges)
-        for i, j in self._edges:
-            if (i, j) not in alive:
-                c[i, i] += c[i, j]
-                c[j, j] += c[j, i]
-                c[i, j] = c[j, i] = 0.0
-        return c
-
-
-def consensus_step(c: np.ndarray, params) -> np.ndarray:
-    """One averaging round: row i of the result is sum_j c[i, j] * params[j].
-
-    ``params`` may be an (N, d) array or a list of equal-length vectors;
-    the result is always an (N, d) array.
-    """
-    p = np.asarray(params, dtype=float)
-    if p.ndim == 1:
-        p = p[:, None]
-    if p.ndim != 2:
-        raise DimensionMismatch("params must be a list of vectors or a 2-D array")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (p.shape[0], p.shape[0]):
-        raise DimensionMismatch(
-            f"weight matrix shape {c.shape} does not match {p.shape[0]} agents"
-        )
-    return c @ p
 
 
 @dataclass(frozen=True)
@@ -288,7 +251,7 @@ def check_assumption_random_matrices(
     acc /= samples
     mean_c /= samples
     col_res = float(np.max(np.abs(ones @ mean_c - ones)))
-    mix = spectral_norm(acc)
+    mix = np.linalg.norm(acc, 2)
     ok = (
         row_res <= 1e-12
         and col_res <= 1e-3

@@ -1,8 +1,10 @@
 """Exact small-instance solvers the simulator is checked against.
 
-Everything here works on environments that expose exact transition rows
-(``transition_row``) and reward gradients, and computes closed-form answers
-by direct linear algebra rather than by simulation:
+Everything here reads an environment only through the
+:class:`~netdac.env.NetworkedMdp` interface the simulator steps (exact
+transition rows, rewards, their batch forms and action gradients), and
+computes closed-form answers by direct linear algebra rather than by
+simulation:
 
 * :func:`exact_eval` — stationary distribution, long-run average reward, and
   differential (bias) values of a deterministic policy, via one dense solve
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import FeatureMap
-from .env import NetworkedMdp, unpack_actions
+from .env import NetworkedMdp
 from .errors import NearSingularB, RankDeficientFeatures
 from .linalg import solve_linear, stationary_distribution
 from .policy import PolicySet
@@ -47,8 +49,6 @@ __all__ = [
     "StochasticGradient",
     "stochastic_pg_estimate",
 ]
-
-_FD_STEP = 1e-5  # central-difference step for transition-kernel fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -108,26 +108,6 @@ def exact_eval(mdp: NetworkedMdp, policy: PolicySet) -> ExactEval:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_action_jacobian(mdp: NetworkedMdp, s: int, actions, i: int) -> np.ndarray:
-    """d transition_row(s, a) / d a^i, shape (n_i, S).
-
-    Uses the environment's analytic Jacobian when available, otherwise
-    central finite differences on the transition row.
-    """
-    if hasattr(mdp, "transition_grad_action"):
-        return np.asarray(mdp.transition_grad_action(i, s, actions), dtype=float)
-    n_i = mdp.action_dims[i]
-    out = np.empty((n_i, mdp.state_count))
-    base = [np.asarray(a, dtype=float).copy() for a in actions]
-    for k in range(n_i):
-        hi = [a.copy() for a in base]
-        lo = [a.copy() for a in base]
-        hi[i][k] += _FD_STEP
-        lo[i][k] -= _FD_STEP
-        out[k] = (mdp.transition_row(s, hi) - mdp.transition_row(s, lo)) / (2 * _FD_STEP)
-    return out
-
-
 def exact_q_grad_action(
     mdp: NetworkedMdp, policy: PolicySet, ev: ExactEval, s: int, i: int
 ) -> np.ndarray:
@@ -137,9 +117,7 @@ def exact_q_grad_action(
     sum_s' P(s'|s, a) V(s'); only the reward and kernel depend on the action.
     """
     acts = policy.act(s)
-    grad = np.asarray(mdp.reward_grad_action(i, s, acts), dtype=float).copy()
-    grad += _kernel_action_jacobian(mdp, s, acts, i) @ ev.bias
-    return grad
+    return mdp.reward_grad_action(i, s, acts) + mdp.transition_grad_action(i, s, acts) @ ev.bias
 
 
 def exact_policy_gradient(mdp: NetworkedMdp, policy: PolicySet) -> np.ndarray:
@@ -300,22 +278,6 @@ def _gaussian_nodes(n_dim: int, sigma: float, quad: QuadratureConfig):
     return offsets, weights
 
 
-def _batch_mean_rewards(mdp: NetworkedMdp, s: int, flat_actions: np.ndarray) -> np.ndarray:
-    if hasattr(mdp, "mean_reward_batch"):
-        return np.asarray(mdp.mean_reward_batch(s, flat_actions), dtype=float)
-    return np.array(
-        [mdp.mean_reward(s, unpack_actions(fa, mdp.action_dims)) for fa in flat_actions]
-    )
-
-
-def _batch_transition_rows(mdp: NetworkedMdp, s: int, flat_actions: np.ndarray) -> np.ndarray:
-    if hasattr(mdp, "transition_row_batch"):
-        return np.asarray(mdp.transition_row_batch(s, flat_actions), dtype=float)
-    return np.stack(
-        [mdp.transition_row(s, unpack_actions(fa, mdp.action_dims)) for fa in flat_actions]
-    )
-
-
 @dataclass(frozen=True)
 class OffPolicyFixedPoint:
     """Solution of the averaged-reward critic's stationarity equations.
@@ -358,9 +320,8 @@ def offpolicy_fixed_point(
     b_by_state = np.empty((n_s, k, k))
     for s in range(n_s):
         batch = policy.act_flat(s) + offsets
-        rows = _batch_transition_rows(mdp, s, batch)
-        kernel_pi[s] = weights @ rows
-        rbar = _batch_mean_rewards(mdp, s, batch)
+        kernel_pi[s] = weights @ mdp.transition_row_batch(s, batch)
+        rbar = mdp.mean_reward_batch(s, batch)
         feats = features.eval_batch(s, batch)
         a_matrix[:, s] = feats.T @ (weights * rbar)
         b_by_state[s] = feats.T @ (weights[:, None] * feats)
@@ -425,8 +386,8 @@ def stochastic_pg_estimate(
     reward_pi = np.empty(n_s)
     for s in range(n_s):
         batch = policy.act_flat(s) + offsets
-        kernel_pi[s] = weights @ _batch_transition_rows(mdp, s, batch)
-        reward_pi[s] = weights @ _batch_mean_rewards(mdp, s, batch)
+        kernel_pi[s] = weights @ mdp.transition_row_batch(s, batch)
+        reward_pi[s] = weights @ mdp.mean_reward_batch(s, batch)
     kernel_pi = np.clip(kernel_pi, 0.0, None)
     kernel_pi /= kernel_pi.sum(axis=1, keepdims=True)
     d_pi, j_pi, v_pi = _poisson_solve(kernel_pi, reward_pi)
@@ -443,8 +404,8 @@ def stochastic_pg_estimate(
             continue
         e = eps[mask]
         batch = policy.act_flat(s) + e
-        rbar = _batch_mean_rewards(mdp, s, batch)
-        rows = _batch_transition_rows(mdp, s, batch)
+        rbar = mdp.mean_reward_batch(s, batch)
+        rows = mdp.transition_row_batch(s, batch)
         adv = rbar - j_pi + rows @ v_pi - v_pi[s]
         # Score of the Gaussian policy: d log pi / d theta = J_mu(s) eps / sigma^2.
         scores = policy.jac_blockdiag(s) @ e.T / sigma**2  # (P, m)

@@ -8,8 +8,9 @@ control proving the harness can actually fail.
 
 The registry covers:
 
-* linear-algebra kernels against independent references (LAPACK SVD, direct
-  residuals);
+* linear-algebra kernels against direct residuals, and the spectral (mixing)
+  norm against the closed-form Metropolis spectra of path, ring, star and
+  complete graphs;
 * the exact policy gradient against finite differences and the bandit's
   closed form;
 * the evaluation (Poisson) equations and both critic fixed points, including
@@ -28,7 +29,7 @@ from . import dac, network, oracle
 from .approx import CompatibleQFeatures, CompatibleRFeatures, FourierFeatures
 from .config import RunConfig
 from .env import bandit_reward_grad, make_bandit, make_finite_mdp
-from .linalg import solve_linear, spectral_norm, stationary_distribution
+from .linalg import solve_linear, stationary_distribution
 from .policy import affine_policy, constant_policy
 
 __all__ = ["CheckRecord", "registered_checks", "run_checks", "format_report"]
@@ -89,13 +90,33 @@ def _check_linalg_stationary():
     return worst, 0.0, 1e-10, "max balance residual over 20 random chains"
 
 
+def _metropolis_mixing_norm(kind: str, n: int) -> float:
+    """Closed-form mixing norm of the static Metropolis matrix (Xiao & Boyd 2004).
+
+    Path and ring get C = I - L/3 and the star C = I - L/n; the mixing norm
+    is the largest squared eigenvalue of C off the consensus direction.
+    """
+    k = np.arange(1, n)
+    if kind == "path":
+        return float(np.max((1.0 - (2.0 - 2.0 * np.cos(np.pi * k / n)) / 3.0) ** 2))
+    if kind == "ring":
+        return float(np.max((1.0 - (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / 3.0) ** 2))
+    if kind == "star":
+        return (1.0 - 1.0 / n) ** 2
+    return 0.0  # complete: C = 11^T / n averages exactly in one round
+
+
 def _check_linalg_spectral_norm():
-    rng = np.random.default_rng(13)
     worst = 0.0
-    for _ in range(20):
-        a = rng.standard_normal((9, 6))
-        worst = max(worst, abs(spectral_norm(a) - float(np.linalg.svd(a, compute_uv=False)[0])))
-    return worst, 0.0, 1e-9, "power iteration vs LAPACK largest singular value"
+    for n in (3, 6, 9):
+        for kind in ("path", "ring", "star", "complete"):
+            graph = getattr(network, kind + "_graph")(n)
+            report = network.check_assumption_random_matrices(
+                network.GraphProcess(graph), samples=1
+            )
+            worst = max(worst, abs(report.mixing_norm - _metropolis_mixing_norm(kind, n)))
+    detail = "mixing norm vs closed-form Metropolis spectra (path/ring/star/complete)"
+    return worst, 0.0, 1e-12, detail
 
 
 # --- gradients --------------------------------------------------------------

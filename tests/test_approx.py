@@ -1,4 +1,5 @@
-"""Feature maps and linear critics: values, action gradients, batch paths."""
+"""Feature maps: values, action gradients, batch paths, and the linear
+critic ``features.eval(s, a) @ w`` built on them."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,7 @@ from netdac.approx import (
     CompatibleQFeatures,
     CompatibleRFeatures,
     FourierFeatures,
-    LinearModel,
     TabularFeatures,
-    q_grad_action,
-    q_value,
 )
 from netdac.errors import DimensionMismatch
 from netdac.policy import affine_policy, constant_policy
@@ -66,13 +64,12 @@ class TestCompatibleQFeatures:
         pol.set_theta_flat(rng.standard_normal(pol.total_param_dim))
         feats = CompatibleQFeatures(pol, centered=True, bias=True)
         w = rng.standard_normal(feats.dim)
-        model = LinearModel(feats, w)
         acts = _rand_actions(rng, (2, 1))
         starts = np.cumsum((0,) + pol.param_dims)
         for i in range(2):
             block = w[starts[i] : starts[i + 1]]
             want = pol.jac(i, 1).T @ block
-            np.testing.assert_allclose(model.grad_action(1, acts, i), want, atol=1e-12)
+            np.testing.assert_allclose(feats.grad_action(1, acts, i) @ w, want, atol=1e-12)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(1)
@@ -109,13 +106,13 @@ class TestCompatibleQFeatures:
         pol = constant_policy((2,))
         pol.theta[0] = np.array([0.7, -0.2])
         w = rng.standard_normal(2)
-        plain = LinearModel(CompatibleQFeatures(pol, centered=False, bias=False), w)
-        cent = LinearModel(CompatibleQFeatures(pol, centered=True, bias=False), w)
+        plain = CompatibleQFeatures(pol, centered=False, bias=False)
+        cent = CompatibleQFeatures(pol, centered=True, bias=False)
         acts = [rng.standard_normal(2)]
         np.testing.assert_allclose(
-            plain.grad_action(0, acts, 0), cent.grad_action(0, acts, 0), atol=1e-14
+            plain.grad_action(0, acts, 0) @ w, cent.grad_action(0, acts, 0) @ w, atol=1e-14
         )
-        assert plain.value(0, acts) != pytest.approx(cent.value(0, acts))
+        assert plain.eval(0, acts) @ w != pytest.approx(cent.eval(0, acts) @ w)
 
     def test_shape_errors(self):
         pol = constant_policy((2, 1))
@@ -190,35 +187,18 @@ class TestFourierFeatures:
 
 class TestTabularFeatures:
     def test_one_hot(self):
-        feats = TabularFeatures(4, (1,))
+        feats = TabularFeatures(4)
         np.testing.assert_array_equal(feats.eval(2, [np.zeros(1)]), [0, 0, 1, 0])
         assert feats.dim == 4
 
     def test_zero_action_gradient(self):
-        feats = TabularFeatures(3, (2,))
+        feats = TabularFeatures(3)
         np.testing.assert_array_equal(
             feats.grad_action(1, [np.zeros(2)], 0), np.zeros((2, 3))
         )
 
     def test_state_range_checked(self):
-        feats = TabularFeatures(2, (1,))
+        feats = TabularFeatures(2)
         with pytest.raises(IndexError):
             feats.eval(5, [np.zeros(1)])
 
-
-class TestLinearModel:
-    def test_value_is_linear(self):
-        pol = constant_policy((2,))
-        feats = CompatibleQFeatures(pol)
-        model = LinearModel(feats, np.array([2.0, -1.0]))
-        acts = [np.array([1.0, 3.0])]
-        assert q_value(model, 0, acts) == pytest.approx(2.0 * 1.0 - 1.0 * 3.0)
-        np.testing.assert_allclose(q_grad_action(model, 0, acts, 0), [2.0, -1.0])
-
-    def test_weight_validation(self):
-        pol = constant_policy((2,))
-        feats = CompatibleQFeatures(pol)
-        with pytest.raises(DimensionMismatch):
-            LinearModel(feats, np.zeros(5))
-        with pytest.raises(ValueError):
-            LinearModel(feats, np.array([np.nan, 0.0]))

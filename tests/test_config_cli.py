@@ -240,6 +240,23 @@ class TestCli:
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edges, why", [("0 1\n1 x\n", "non-integer node index"), ("0 1\n1 5\n", "out of range")]
+    )
+    def test_run_malformed_edgelist_exits_2(self, tmp_path, capsys, edges, why):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(edges)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            f"agents = 3\naction_dim = 1\nseeds = 0\nbatches = 1\n"
+            f"topology = edgelist:{graph}\noutput = {tmp_path / 'run.csv'}\n"
+        )
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: topology file {graph}: edge list line 2")
+        assert why in err
+        assert "Traceback" not in err
+
     def test_load_config_reads_file(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("agents = 6\n")

@@ -1,6 +1,8 @@
 """Training loops: hand-traced steps, recurrence replay, fixed points,
 run bookkeeping, and divergence detection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,7 @@ class TestAlg2Step:
         # next lambda is -1.6 + 0.1*(-16 + 1.6) = -3.04.
         env = ContinuousBandit(2, 1, np.array([[1.0]]), np.array([4.0]))
         pol = constant_policy(env.action_dims)
-        feats = TabularFeatures(1, env.action_dims)
+        feats = TabularFeatures(1)
         proc = GraphProcess(complete_graph(2))
         sch = Schedule("constant", 0.1, 0.0)
         behavior = GaussianNoise(0.0)
@@ -277,6 +279,37 @@ class TestEvaluatePolicyCost:
         assert evaluate_policy_cost(env, pol, rollout_steps=10) == pytest.approx(
             evaluate_policy_cost(env, pol), abs=1e-12
         )
+
+
+class TestCheckFinite:
+    def _state(self):
+        env = make_bandit(3, 2, seed=0)
+        pol = constant_policy(env.action_dims)
+        feats = CompatibleQFeatures(pol, centered=True, bias=True)
+        state = init_train_state(env, pol, feats, seed=0, algorithm="alg1")
+        state.critic[0, 0] = 0.5
+        state.t = 32
+        return state
+
+    def test_finite_state_passes(self):
+        self._state().check_finite()
+
+    @pytest.mark.parametrize(
+        "where, name",
+        [("critic", "critic"), ("jhat", "jhat"), ("theta", "theta[1]")],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -2e8])
+    def test_names_iterate_and_step(self, where, name, bad):
+        # A NaN that is not the first iterate checked used to slip through.
+        state = self._state()
+        if where == "critic":
+            state.critic[2, 1] = bad
+        elif where == "jhat":
+            state.jhat[1] = bad
+        else:
+            state.policy.theta[1][0] = bad
+        with pytest.raises(Diverged, match=rf"^{re.escape(name)} magnitude .* at step 32$"):
+            state.check_finite()
 
 
 class TestRunExperiment:

@@ -1,5 +1,6 @@
-"""Environments: hand-computed rewards, analytic gradients vs finite
-differences, transition-law sanity, and construction invariants."""
+"""Environments: the interface contract shared by every environment,
+hand-computed rewards, analytic gradients vs finite differences,
+transition-law sanity, and construction invariants."""
 
 import numpy as np
 import pytest
@@ -7,16 +8,21 @@ import pytest
 from netdac.env import (
     ContinuousBandit,
     FiniteTestMdp,
+    NetworkedMdp,
     bandit_reward,
     bandit_reward_grad,
     make_bandit,
     make_finite_mdp,
     pack_actions,
-    unpack_actions,
 )
 from netdac.errors import DimensionMismatch
 
 _FD = 1e-6
+
+
+def _split(flat, dims):
+    """Per-agent action arrays from one flat joint action."""
+    return np.split(np.asarray(flat, dtype=float), np.cumsum(dims)[:-1])
 
 
 def _fd_reward_grad(mdp, s, actions, i):
@@ -37,12 +43,80 @@ class TestPackUnpack:
         acts = [np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0, 5.0, 6.0])]
         flat = pack_actions(acts)
         np.testing.assert_array_equal(flat, [1, 2, 3, 4, 5, 6])
-        back = unpack_actions(flat, (2, 1, 3))
+        back = _split(flat, (2, 1, 3))
         assert all(np.array_equal(a, b) for a, b in zip(acts, back))
 
-    def test_unpack_length_check(self):
-        with pytest.raises(DimensionMismatch):
-            unpack_actions(np.zeros(4), (2, 3))
+
+_CONTRACT_ENVS = {
+    "bandit": lambda: make_bandit(3, 2, seed=4),
+    "finite-mdp": lambda: make_finite_mdp(4, 3, seed=7),
+}
+
+
+@pytest.fixture(params=sorted(_CONTRACT_ENVS))
+def contract_env(request):
+    return _CONTRACT_ENVS[request.param]()
+
+
+class TestEnvironmentContract:
+    """Every environment implements the whole NetworkedMdp interface, and its
+    batch methods and analytic gradients agree with its single-action forms."""
+
+    def _batch(self, env, t=9, seed=6):
+        return np.random.default_rng(seed).standard_normal((t, sum(env.action_dims)))
+
+    def test_batch_methods_match_single_action_forms(self, contract_env):
+        env = contract_env
+        assert isinstance(env, NetworkedMdp)
+        flat = self._batch(env)
+        for s in range(env.state_count):
+            rows = env.transition_row_batch(s, flat)
+            rewards = env.mean_reward_batch(s, flat)
+            assert rows.shape == (len(flat), env.state_count)
+            assert rewards.shape == (len(flat),)
+            for t in range(len(flat)):
+                acts = _split(flat[t], env.action_dims)
+                row = env.transition_row(s, acts)
+                np.testing.assert_allclose(rows[t], row, rtol=0, atol=1e-12)
+                assert abs(rewards[t] - env.mean_reward(s, acts)) <= 1e-12
+                assert abs(env.local_rewards(s, acts).mean() - env.mean_reward(s, acts)) <= 1e-12
+
+    def test_gradients_match_batch_central_differences(self, contract_env):
+        env = contract_env
+        flat = self._batch(env, t=3, seed=8)
+        starts = np.cumsum((0,) + env.action_dims)
+        for s in range(env.state_count):
+            for a in flat:
+                acts = _split(a, env.action_dims)
+                for i in range(env.agent_count):
+                    cols = range(starts[i], starts[i + 1])
+                    # Rows 2k and 2k+1 step coordinate k of agent i up and down.
+                    probe = np.repeat(a[None, :], 2 * len(cols), axis=0)
+                    for k, col in enumerate(cols):
+                        probe[2 * k, col] += _FD
+                        probe[2 * k + 1, col] -= _FD
+                    rew = env.mean_reward_batch(s, probe)
+                    rows = env.transition_row_batch(s, probe)
+                    fd_rew = (rew[0::2] - rew[1::2]) / (2 * _FD)
+                    fd_rows = (rows[0::2] - rows[1::2]) / (2 * _FD)
+                    np.testing.assert_allclose(
+                        env.reward_grad_action(i, s, acts), fd_rew, rtol=1e-6, atol=1e-6
+                    )
+                    np.testing.assert_allclose(
+                        env.transition_grad_action(i, s, acts), fd_rows, rtol=0, atol=1e-7
+                    )
+
+    def test_interface_has_no_defaults(self):
+        # Only the sampler is concrete; nothing falls back to another method.
+        assert NetworkedMdp.__abstractmethods__ == {
+            "local_rewards",
+            "mean_reward",
+            "transition_row",
+            "mean_reward_batch",
+            "transition_row_batch",
+            "reward_grad_action",
+            "transition_grad_action",
+        }
 
 
 class TestContinuousBandit:
@@ -106,18 +180,14 @@ class TestContinuousBandit:
         env = make_bandit(2, 2, seed=0)
         acts = [np.zeros(2), np.zeros(2)]
         assert env.state_count == 1
-        assert env.transition(0, acts, np.random.default_rng(0)) == 0
-        assert env.transition_prob(0, acts, 0) == 1.0
+        rng = np.random.default_rng(0)
+        untouched = np.random.default_rng(0)
+        assert env.transition(0, acts, rng) == 0
+        # A single-state environment draws nothing from the stream.
+        assert rng.random() == untouched.random()
         np.testing.assert_array_equal(env.transition_row(0, acts), [1.0])
-
-    def test_mean_reward_batch_matches_scalar(self):
-        env = make_bandit(3, 2, seed=4)
-        rng = np.random.default_rng(8)
-        flat = rng.standard_normal((11, 6))
-        batch = env.mean_reward_batch(0, flat)
-        for t in range(11):
-            acts = unpack_actions(flat[t], env.action_dims)
-            assert abs(batch[t] - env.mean_reward(0, acts)) < 1e-12
+        rows = env.transition_row_batch(0, np.zeros((3, 4)))
+        np.testing.assert_array_equal(rows, np.ones((3, 1)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -148,13 +218,6 @@ class TestFiniteTestMdp:
                 assert np.all(row > 0)
                 assert abs(row.sum() - 1.0) < 1e-12
 
-    def test_transition_prob_matches_row(self):
-        mdp = self.make()
-        acts = [np.array([0.3]) for _ in range(mdp.agent_count)]
-        row = mdp.transition_row(1, acts)
-        for s2 in range(mdp.state_count):
-            assert mdp.transition_prob(1, acts, s2) == pytest.approx(row[s2])
-
     def test_mean_reward_is_average_of_locals(self):
         mdp = self.make()
         acts = [np.array([-0.4]), np.array([0.2]), np.array([1.0])]
@@ -164,7 +227,7 @@ class TestFiniteTestMdp:
     def test_rewards_bounded(self):
         mdp = self.make(seed=3)
         rng = np.random.default_rng(2)
-        bound = mdp.reward_bound
+        bound = np.max(np.abs(mdp.base)) + np.max(np.abs(mdp.amp))
         for _ in range(50):
             s = int(rng.integers(mdp.state_count))
             acts = [rng.standard_normal(1) * 10 for _ in range(mdp.agent_count)]
@@ -195,17 +258,6 @@ class TestFiniteTestMdp:
                 lo[i][0] -= _FD
                 fd[0] = (mdp.transition_row(s, hi) - mdp.transition_row(s, lo)) / (2 * _FD)
                 np.testing.assert_allclose(got, fd, atol=1e-7)
-
-    def test_batch_methods_match_scalar(self):
-        mdp = self.make(seed=7)
-        rng = np.random.default_rng(6)
-        flat = rng.standard_normal((9, mdp.agent_count))
-        rows = mdp.transition_row_batch(2, flat)
-        rewards = mdp.mean_reward_batch(2, flat)
-        for t in range(9):
-            acts = unpack_actions(flat[t], mdp.action_dims)
-            np.testing.assert_allclose(rows[t], mdp.transition_row(2, acts), atol=1e-12)
-            assert rewards[t] == pytest.approx(mdp.mean_reward(2, acts))
 
     def test_sampling_frequencies_match_row(self):
         mdp = self.make(states=3, agents=2, seed=8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netdac.errors import DimensionMismatch, SingularMatrix
-from netdac.linalg import project_box, solve_linear, spectral_norm, stationary_distribution
+from netdac.linalg import project_box, solve_linear, stationary_distribution
 
 
 class TestSolveLinear:
@@ -80,28 +80,6 @@ class TestStationaryDistribution:
             stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             stationary_distribution(np.array([[-0.1, 1.1], [0.5, 0.5]]))
-
-
-class TestSpectralNorm:
-    def test_identity(self):
-        assert abs(spectral_norm(np.eye(3)) - 1.0) < 1e-10
-
-    def test_diagonal(self):
-        assert abs(spectral_norm(np.diag([3.0, 1.0])) - 3.0) < 1e-10
-
-    def test_nilpotent(self):
-        # [[0, 2], [0, 0]] has spectral radius 0 but largest singular value 2.
-        assert abs(spectral_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) - 2.0) < 1e-10
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 2))) == 0.0
-
-    def test_matches_svd_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            a = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-            want = np.linalg.svd(a, compute_uv=False)[0]
-            assert abs(spectral_norm(a) - want) < 1e-9 * max(1.0, want)
 
 
 class TestProjectBox:

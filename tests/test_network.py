@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from netdac.errors import DimensionMismatch
 from netdac.network import (
     CommGraph,
     GraphProcess,
     check_assumption_random_matrices,
     complete_graph,
-    consensus_step,
     edgeless_graph,
     load_edge_list,
     metropolis_weights,
@@ -61,6 +59,8 @@ class TestCommGraph:
             load_edge_list("0 1 2")
         with pytest.raises(ValueError):
             load_edge_list("0 1", n=1)
+        with pytest.raises(ValueError, match="line 2: node 5 out of range"):
+            load_edge_list("0 1\n1 5\n", n=3)
 
 
 class TestMetropolisWeights:
@@ -143,13 +143,6 @@ class TestGraphProcess:
         rate = dead / (6 * n_samples)
         assert abs(rate - 0.25) < 0.02
 
-    def test_weights_for_graph_deterministic(self):
-        proc = GraphProcess(path_graph(3), 0.2)
-        survived = CommGraph(3, ((0, 1),))
-        c = proc.weights_for_graph(survived)
-        assert c[1, 2] == 0.0 and c[0, 1] > 0
-        np.testing.assert_allclose(c.sum(axis=1), 1.0, atol=1e-12)
-
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             GraphProcess(path_graph(3), 1.0)
@@ -158,35 +151,28 @@ class TestGraphProcess:
 
 
 class TestConsensusStep:
+    """One averaging round over the agents' (N, d) parameters is ``C @ params``."""
+
     def test_exact_average_on_complete_graph(self):
         c = metropolis_weights(complete_graph(4))
         params = np.arange(12.0).reshape(4, 3)
-        out = consensus_step(c, params)
+        out = c @ params
         np.testing.assert_allclose(out, np.tile(params.mean(axis=0), (4, 1)), atol=1e-12)
 
     def test_preserves_network_mean(self):
         rng = np.random.default_rng(2)
         c = metropolis_weights(ring_graph(6))
         params = rng.standard_normal((6, 4))
-        out = consensus_step(c, params)
+        out = c @ params
         np.testing.assert_allclose(out.mean(axis=0), params.mean(axis=0), atol=1e-12)
 
     def test_iterated_consensus_agrees(self):
         c = metropolis_weights(path_graph(5))
         params = np.diag(np.arange(5.0))
         for _ in range(500):
-            params = consensus_step(c, params)
+            params = c @ params
         target = np.tile(np.arange(5.0) / 5.0, (5, 1))
         assert np.max(np.abs(params - target)) < 1e-8
-
-    def test_vector_input(self):
-        c = metropolis_weights(complete_graph(3))
-        out = consensus_step(c, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(out, np.full((3, 1), 2.0), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            consensus_step(np.eye(3), np.zeros((2, 4)))
 
 
 class TestAssumptionChecks:
@@ -206,6 +192,24 @@ class TestAssumptionChecks:
         proc = GraphProcess(ring_graph(5), 0.3, np.random.default_rng(1))
         report = check_assumption_random_matrices(proc, samples=3000)
         assert report.ok
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_static_mixing_norm_closed_form(self, n):
+        # Metropolis matrices: C = I - L/3 on paths and rings, I - L/n on the
+        # star, 11^T/n on the complete graph; the mixing norm is the largest
+        # squared eigenvalue of C off the consensus direction.
+        k = np.arange(1, n)
+        want = {
+            "path": np.max((1 - (2 - 2 * np.cos(np.pi * k / n)) / 3) ** 2),
+            "ring": np.max((1 - (2 - 2 * np.cos(2 * np.pi * k / n)) / 3) ** 2),
+            "star": (1 - 1 / n) ** 2,
+            "complete": 0.0,
+        }
+        for graph, norm in zip(
+            (path_graph(n), ring_graph(n), star_graph(n), complete_graph(n)), want.values()
+        ):
+            report = check_assumption_random_matrices(GraphProcess(graph), samples=1)
+            assert report.mixing_norm == pytest.approx(norm, abs=1e-12)
 
     def test_edgeless_graph_fails_mixing(self):
         report = check_assumption_random_matrices(GraphProcess(edgeless_graph(4)), samples=5)

@@ -176,13 +176,15 @@ class TestMspbeFixedPoint:
 
         class VFeature(FeatureMap):
             dim = 1
-            action_dims = mdp.action_dims
 
             def eval(self, s, actions):
                 return np.array([0.5 * v[s]])
 
             def grad_action(self, s, actions, i):
                 return np.zeros((1, 1))
+
+            def eval_batch(self, s, flat_actions):
+                return np.full((len(flat_actions), 1), 0.5 * v[s])
 
         fp = mspbe_fixed_point(mdp, pol, VFeature())
         assert fp.omega[0] == pytest.approx(2.0, abs=1e-10)
@@ -198,18 +200,20 @@ class TestMspbeFixedPoint:
         # uniqueness of the average-reward projected solution.
         mdp, pol, _ = self.setup_case()
         with pytest.raises(RankDeficientFeatures):
-            mspbe_fixed_point(mdp, pol, TabularFeatures(5, mdp.action_dims))
+            mspbe_fixed_point(mdp, pol, TabularFeatures(5))
 
 
 class _DuplicatedConstant(FeatureMap):
     dim = 2
-    action_dims = (1, 1)
 
     def eval(self, s, actions):
         return np.ones(2)
 
     def grad_action(self, s, actions, i):
         return np.zeros((1, 2))
+
+    def eval_batch(self, s, flat_actions):
+        return np.ones((len(flat_actions), 2))
 
 
 class TestOffPolicyFixedPoint:
@@ -222,7 +226,7 @@ class TestOffPolicyFixedPoint:
         pol.theta[0] = np.array([1.0])
         pol.theta[1] = np.array([0.5])
         sigma = 0.3
-        feats = TabularFeatures(1, env.action_dims)
+        feats = TabularFeatures(1)
         fp = offpolicy_fixed_point(env, pol, sigma, feats)
         dev = pol.theta[0] + pol.theta[1] - env.target
         want = -(dev @ env.cost @ dev) - 2 * sigma**2 * np.trace(env.cost)
@@ -288,7 +292,7 @@ class TestOffPolicyFixedPoint:
         env = make_bandit(2, 1, seed=0)
         pol = constant_policy(env.action_dims)
         with pytest.raises(ValueError):
-            offpolicy_fixed_point(env, pol, 0.0, TabularFeatures(1, env.action_dims))
+            offpolicy_fixed_point(env, pol, 0.0, TabularFeatures(1))
 
     def test_finite_mdp_stationarity(self):
         # Independent check on a multi-state instance: the solution must
