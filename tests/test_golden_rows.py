@@ -1,10 +1,20 @@
-"""Golden-row regression gate: tiny runs must reproduce recorded MetricsRows.
+"""Golden-row regression gate: tiny runs must reproduce recorded MetricsRows bit for bit.
 
 Every cell of alg1/alg2 x bandit/finite-mdp x compatible/fourier/tabular x
-batch/online runs a few batches on a tiny instance and must reproduce the
-rows in ``golden_rows.json`` to 1e-12 relative.  The file was recorded from
-the code before the environment interface was made explicit; a refactor
-that changes the arithmetic or the number of random draws fails here.
+batch/online runs a few batches on a tiny instance; further cells cover the
+paths those leave out and the summation orders that a vectorized rewrite
+most easily changes:
+
+* bandits with scalar actions and ten agents (numpy sums ten one-element
+  rows pairwise, not in agent order);
+* finite-MDP runs of 100 steps (the transition gate sums the agents'
+  scalar actions in order);
+* uncentered features without bias, the polynomial schedule, rollout
+  evaluation, last-sample actor gradients, warm-started critics, path,
+  star and edgeless graphs, and batches of one step.
+
+Each field must equal the value in ``golden_rows.json`` exactly (JSON floats
+round-trip through ``repr``), so a change of one bit anywhere fails here.
 
 To re-record after an intended change of numbers (say why in CHANGES.md):
 
@@ -13,7 +23,6 @@ To re-record after an intended change of numbers (say why in CHANGES.md):
 
 import itertools
 import json
-import math
 import os
 
 import pytest
@@ -23,25 +32,12 @@ from netdac.dac import run_experiment
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_rows.json")
 FIELDS = ("t", "batch", "eval_cost", "mean_jhat", "critic_disagreement", "actor_grad_norm")
-CELLS = list(
-    itertools.product(
-        ("alg1", "alg2"),
-        ("bandit", "finite-mdp"),
-        ("compatible", "fourier", "tabular"),
-        ("batch", "online"),
-    )
-)
 
 
-def cell_id(cell) -> str:
-    return "-".join(cell)
-
-
-def cell_config(cell) -> RunConfig:
+def base_config(algorithm, kind, features, mode, **overrides) -> RunConfig:
     """A tiny run; online cells also exercise link failures on a ring."""
-    algorithm, kind, features, mode = cell
     online = mode == "online"
-    return RunConfig(
+    values = dict(
         kind=kind,
         algorithm=algorithm,
         agents=10,
@@ -61,10 +57,96 @@ def cell_config(cell) -> RunConfig:
         critic_step=0.2,
         actor_step=0.05,
     )
+    values.update(overrides)
+    return RunConfig(**values)
 
 
-def cell_rows(cell) -> list:
-    return [[getattr(r, f) for f in FIELDS] for r in run_experiment(cell_config(cell))]
+CELLS = {
+    "-".join(cell): base_config(*cell)
+    for cell in itertools.product(
+        ("alg1", "alg2"),
+        ("bandit", "finite-mdp"),
+        ("compatible", "fourier", "tabular"),
+        ("batch", "online"),
+    )
+}
+_LONG = dict(batch_size=10, batches=10)
+CELLS.update(
+    {
+        "m1-alg1-bandit-compatible-online": base_config(
+            "alg1", "bandit", "compatible", "online", action_dim=1
+        ),
+        "m1-alg2-bandit-compatible-batch": base_config(
+            "alg2", "bandit", "compatible", "batch", action_dim=1
+        ),
+        "long-alg1-finite-mdp-fourier-online": base_config(
+            "alg1", "finite-mdp", "fourier", "online", **_LONG
+        ),
+        "long-alg2-finite-mdp-fourier-online": base_config(
+            "alg2", "finite-mdp", "fourier", "online", **_LONG
+        ),
+        "long-alg1-finite-mdp-compatible-online": base_config(
+            "alg1", "finite-mdp", "compatible", "online", **_LONG
+        ),
+        "plain-alg1-bandit-compatible-batch": base_config(
+            "alg1", "bandit", "compatible", "batch", feature_centered=False, feature_bias=False
+        ),
+        "plain-alg1-finite-mdp-compatible-online": base_config(
+            "alg1",
+            "finite-mdp",
+            "compatible",
+            "online",
+            feature_centered=False,
+            feature_bias=False,
+        ),
+        "nobias-alg2-finite-mdp-compatible-batch": base_config(
+            "alg2", "finite-mdp", "compatible", "batch", feature_bias=False
+        ),
+        "poly-alg1-finite-mdp-compatible-online": base_config(
+            "alg1", "finite-mdp", "compatible", "online", schedule="polynomial"
+        ),
+        "poly-alg2-bandit-compatible-batch": base_config(
+            "alg2", "bandit", "compatible", "batch", schedule="polynomial", critic_step=0.5
+        ),
+        "rollout-alg2-finite-mdp-fourier-batch": base_config(
+            "alg2", "finite-mdp", "fourier", "batch", eval_rollout=5
+        ),
+        "rollout-alg1-bandit-compatible-batch": base_config(
+            "alg1", "bandit", "compatible", "batch", eval_rollout=5
+        ),
+        "last-alg1-bandit-fourier-batch": base_config(
+            "alg1", "bandit", "fourier", "batch", actor_grad="last-sample"
+        ),
+        "last-alg1-finite-mdp-compatible-batch": base_config(
+            "alg1", "finite-mdp", "compatible", "batch", actor_grad="last-sample"
+        ),
+        "warm-alg1-bandit-compatible-batch": base_config(
+            "alg1", "bandit", "compatible", "batch", critic_warm_start=True
+        ),
+        "warm-alg2-finite-mdp-compatible-batch": base_config(
+            "alg2", "finite-mdp", "compatible", "batch", critic_warm_start=True
+        ),
+        "path-alg1-finite-mdp-compatible-online": base_config(
+            "alg1", "finite-mdp", "compatible", "online", topology="path"
+        ),
+        "star-alg2-bandit-compatible-online": base_config(
+            "alg2", "bandit", "compatible", "online", topology="star"
+        ),
+        "edgeless-alg1-bandit-compatible-batch": base_config(
+            "alg1", "bandit", "compatible", "batch", topology="edgeless"
+        ),
+        "b1-alg1-finite-mdp-compatible-batch": base_config(
+            "alg1", "finite-mdp", "compatible", "batch", batch_size=1, batches=5
+        ),
+        "b1-alg2-bandit-fourier-online": base_config(
+            "alg2", "bandit", "fourier", "online", batch_size=1, batches=5
+        ),
+    }
+)
+
+
+def cell_rows(name) -> list:
+    return [[getattr(r, f) for f in FIELDS] for r in run_experiment(CELLS[name])]
 
 
 def _load():
@@ -72,17 +154,21 @@ def _load():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("cell", CELLS, ids=cell_id)
-def test_rows_match_golden(cell):
-    want = _load()[cell_id(cell)]
-    got = cell_rows(cell)
+def test_every_cell_recorded():
+    assert sorted(_load()) == sorted(CELLS)
+
+
+@pytest.mark.parametrize("name", list(CELLS))
+def test_rows_match_golden(name):
+    want = _load()[name]
+    got = cell_rows(name)
     assert len(got) == len(want)
     for row_got, row_want in zip(got, want):
-        for name, a, b in zip(FIELDS, row_got, row_want):
-            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (name, a, b)
+        for field, a, b in zip(FIELDS, row_got, row_want):
+            assert a == b, (field, a, b)
 
 
 if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump({cell_id(c): cell_rows(c) for c in CELLS}, fh, indent=1)
+        json.dump({name: cell_rows(name) for name in CELLS}, fh, indent=1)
         fh.write("\n")
