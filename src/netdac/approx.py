@@ -3,9 +3,10 @@
 A critic is linear in its weights, ``f(s, a) = phi(s, a) . w``; its value is
 ``features.eval(s, a) @ w`` and its action-gradient for agent i is
 ``features.grad_action(s, a, i) @ w``.  Feature maps expose the features on
-one joint action, on a batch of flat joint actions (for the oracles), and
-the Jacobian of the features with respect to each agent's action, which the
-actor update needs.
+one joint action (a flat vector, agent i at a static offset; see
+:mod:`netdac.env`), on a ``(T, n_total)`` batch of joint actions (for the
+oracles), and the Jacobian of the features with respect to each agent's
+action, which the actor update needs.
 
 Feature families
 ----------------
@@ -26,7 +27,6 @@ Feature families
 import abc
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionMismatch
 from .policy import PolicySet
@@ -75,38 +75,27 @@ class _PolicyJacobianFeatures(FeatureMap):
         self.centered = centered
         self.bias = bias
         self._block_starts = np.cumsum((0,) + policy.param_dims)
+        self._n_total = sum(policy.action_dims)
         self.dim = policy.total_param_dim + (1 if bias else 0)
         self._grad_cache = {}  # action gradients depend on (s, i) only
-        self._jbd_cache = {}  # sparse block-diagonal Jacobians, per state
 
-    def _sparse_blockdiag(self, s: int):
-        key = s if self.policy.form == "affine" else 0
-        m = self._jbd_cache.get(key)
-        if m is None:
-            m = sparse.csr_array(self.policy.jac_blockdiag(s))
-            self._jbd_cache[key] = m
-        return m
+    def _gather(self, s, actions, out) -> np.ndarray:
+        """Write the block-diagonal policy Jacobian times a (last axis) into ``out``, by gather."""
+        if self.centered:
+            actions = actions - self.policy.act(s)
+        rows, cols = self.policy.jac_index(s)
+        out[..., rows] = actions[..., cols]
+        if self.bias:
+            out[..., -1] = 1.0
+        return out
 
     def eval(self, s, actions) -> np.ndarray:
-        pol = self.policy
-        if len(actions) != pol.agent_count:
+        actions = np.asarray(actions, dtype=float)
+        if actions.shape != (self._n_total,):
             raise DimensionMismatch(
-                f"joint action has {len(actions)} components, expected {pol.agent_count}"
+                f"joint action has shape {actions.shape}, expected ({self._n_total},)"
             )
-        parts = []
-        for i, a in enumerate(actions):
-            a = np.asarray(a, dtype=float).ravel()
-            if a.shape != (pol.action_dims[i],):
-                raise DimensionMismatch(
-                    f"agent {i} action has shape {a.shape}, expected ({pol.action_dims[i]},)"
-                )
-            parts.append(a)
-        flat = np.concatenate(parts)
-        if self.centered:
-            flat = flat - pol.act_flat(s)
-        out = np.ones(self.dim) if self.bias else np.empty(self.dim)
-        out[: pol.total_param_dim] = self._sparse_blockdiag(s) @ flat
-        return out
+        return self._gather(s, actions, np.zeros(self.dim))
 
     def grad_action(self, s, actions, i) -> np.ndarray:
         pol = self.policy
@@ -123,15 +112,13 @@ class _PolicyJacobianFeatures(FeatureMap):
         return g
 
     def eval_batch(self, s, flat_actions) -> np.ndarray:
-        pol = self.policy
         flat_actions = np.asarray(flat_actions, dtype=float)
-        if flat_actions.ndim != 2 or flat_actions.shape[1] != sum(pol.action_dims):
+        if flat_actions.ndim != 2 or flat_actions.shape[1] != self._n_total:
             raise DimensionMismatch("flat action batch has wrong width")
-        a = flat_actions - pol.act_flat(s) if self.centered else flat_actions
-        main = (self._sparse_blockdiag(s) @ a.T).T
-        if not self.bias:
-            return main
-        return np.hstack([main, np.ones((main.shape[0], 1))])
+        # Column-major: a row-major copy with equal values makes the oracles'
+        # BLAS products over it sum in another order, moving their last bits.
+        out = np.zeros((len(flat_actions), self.dim), order="F")
+        return self._gather(s, flat_actions, out)
 
 
 class CompatibleQFeatures(_PolicyJacobianFeatures):
@@ -176,12 +163,12 @@ class FourierFeatures(FeatureMap):
     def _input(self, s, actions) -> np.ndarray:
         if not 0 <= s < self.n_states:
             raise IndexError(f"state {s} out of range")
-        flat = np.concatenate([np.asarray(a, dtype=float).ravel() for a in actions])
-        if flat.size != self._starts[-1]:
+        actions = np.asarray(actions, dtype=float)
+        if actions.shape != (self._starts[-1],):
             raise DimensionMismatch("joint action has wrong total dimension")
-        x = np.zeros(self.n_states + flat.size)
+        x = np.zeros(self.n_states + actions.size)
         x[s] = 1.0
-        x[self.n_states :] = flat
+        x[self.n_states :] = actions
         return x
 
     def eval(self, s, actions) -> np.ndarray:
@@ -213,10 +200,11 @@ class TabularFeatures(FeatureMap):
     exchanges_jacobians = False
     action_independent_grad = True
 
-    def __init__(self, n_states: int):
+    def __init__(self, n_states: int, action_dims):
         if n_states < 1:
             raise ValueError("n_states must be >= 1")
         self.n_states = int(n_states)
+        self.action_dims = tuple(int(d) for d in action_dims)
         self.dim = self.n_states
 
     def eval(self, s, actions) -> np.ndarray:
@@ -227,8 +215,7 @@ class TabularFeatures(FeatureMap):
         return out
 
     def grad_action(self, s, actions, i) -> np.ndarray:
-        n_i = len(np.atleast_1d(np.asarray(actions[i], dtype=float)))
-        return np.zeros((n_i, self.dim))
+        return np.zeros((self.action_dims[i], self.dim))
 
     def eval_batch(self, s, flat_actions) -> np.ndarray:
         if not 0 <= s < self.n_states:

@@ -133,35 +133,14 @@ class TrainState:
     jhat: np.ndarray  # (N,) per-agent average-reward trackers (alg1 only)
     t: int
     s: int
-    actions: list  # joint action to be executed at time t
+    actions: np.ndarray  # flat joint action to be executed at time t
     rngs: dict  # named random sub-streams
     algorithm: str = "alg1"
     last_actor_grad_norm: float = 0.0
     comm_scalars: int = 0  # simulated network traffic, in scalars sent
-    # Feature vector memoized for one (state, action-list) pair, valid only
-    # while the policy is unchanged (feature maps may depend on the policy).
-    policy_version: int = 0
-    _cached_phi: np.ndarray = None
-    _cached_phi_version: int = -1
-    _cached_phi_state: int = -1
-    _cached_phi_actions: list = None
-
-    def cached_features(self, features: FeatureMap) -> np.ndarray:
-        """phi(s, actions), reusing the value memoized by the previous step."""
-        if (
-            self._cached_phi is not None
-            and self._cached_phi_version == self.policy_version
-            and self._cached_phi_state == self.s
-            and self._cached_phi_actions is self.actions
-        ):
-            return self._cached_phi
-        return features.eval(self.s, self.actions)
-
-    def memoize_features(self, phi: np.ndarray, s: int, actions: list) -> None:
-        self._cached_phi = phi
-        self._cached_phi_version = self.policy_version
-        self._cached_phi_state = s
-        self._cached_phi_actions = actions
+    # phi(s, actions) under the current policy, or None: alg1 carries it from
+    # step to step, and an actor update clears it (features may use theta).
+    phi: np.ndarray = None
 
     def check_finite(self) -> None:
         """Raise Diverged naming the first iterate that is non-finite or too large."""
@@ -224,7 +203,7 @@ def _actor_step(state: TrainState, dirs, beta_th: float) -> float:
     for i, g in enumerate(dirs):
         policy.theta[i] = project_box(policy.theta[i] + beta_th * g, policy.lo, policy.hi)
         norm_sq += float(g @ g)
-    state.policy_version += 1
+    state.phi = None
     return float(np.sqrt(norm_sq))
 
 
@@ -258,11 +237,10 @@ def alg1_step(
     # Next action follows the current (pre-update) policy.
     a_next = exploration.perturb(policy.act(s_next), state.rngs["noise"])
 
-    phi = state.cached_features(features)
+    phi = features.eval(s, acts) if state.phi is None else state.phi
     phi_next = features.eval(s_next, a_next)
-    # phi_next doubles as next step's phi while theta stays fixed; memoize it
-    # before any actor update so a version bump invalidates it.
-    state.memoize_features(phi_next, s_next, a_next)
+    # phi_next is next step's phi unless the actor update below clears it.
+    state.phi = phi_next
     delta = r - state.jhat + w @ phi_next - w @ phi
     jhat_new = (1.0 - beta_w) * state.jhat + beta_w * r
     w_tilde = w + beta_w * delta[:, None] * phi[None, :]
@@ -397,7 +375,7 @@ def build_features(config: RunConfig, mdp: NetworkedMdp, policy: PolicySet) -> F
         return FourierFeatures(
             mdp.state_count, mdp.action_dims, config.feature_count, seed=config.feature_seed
         )
-    return TabularFeatures(mdp.state_count)
+    return TabularFeatures(mdp.state_count, mdp.action_dims)
 
 
 def build_graph(config: RunConfig) -> CommGraph:

@@ -20,24 +20,27 @@ The interface
 -------------
 The simulator (:mod:`netdac.dac`) and the oracles (:mod:`netdac.oracle`)
 read an environment only through the abstract methods of
-:class:`NetworkedMdp`, which every environment implements:
+:class:`NetworkedMdp`, which every environment implements.  A joint action
+is one flat float vector of length ``n_total = sum(action_dims)``: agent i
+owns the static slice ``[sum(action_dims[:i]), sum(action_dims[:i+1]))``,
+and agents may have different action dimensions.  A batch of T joint
+actions is a ``(T, n_total)`` array of such rows.
 
-* single joint action, a list of 1-D float arrays, one per agent (agents
-  may have different action dimensions) — ``local_rewards`` (all agents'
-  rewards, used by training), ``mean_reward`` (Rbar) and ``transition_row``
-  (the distribution over next states);
-* a batch of T flat joint actions, a ``(T, n_total)`` array whose row is the
-  agents' actions concatenated in agent order — ``mean_reward_batch``
-  (shape ``(T,)``) and ``transition_row_batch`` (shape ``(T, S)``), used by
-  the quadrature and Monte-Carlo oracles;
+* single joint action — ``local_rewards`` (all agents' rewards, used by
+  training), ``mean_reward`` (Rbar) and ``transition_row`` (the
+  distribution over next states);
+* batch of joint actions — ``mean_reward_batch`` (shape ``(T,)``) and
+  ``transition_row_batch`` (shape ``(T, S)``), used by the quadrature and
+  Monte-Carlo oracles;
 * analytic action gradients for agent i — ``reward_grad_action`` (d Rbar /
   d a^i, shape ``(n_i,)``) and ``transition_grad_action`` (d P(.|s, a) /
   d a^i, shape ``(n_i, S)``), used by the exact policy gradient.
 
 The single-action and batch forms agree to roundoff, not bit for bit: each
 keeps its own order of summation, and training outputs depend on the
-single-action arithmetic.  :meth:`NetworkedMdp.transition` is the one
-concrete sampler, by inverse CDF on ``transition_row``.
+single-action arithmetic (sums over agents run in agent order).
+:meth:`NetworkedMdp.transition` is the one concrete sampler, by inverse CDF
+on ``transition_row``.
 """
 
 import abc
@@ -55,13 +58,7 @@ __all__ = [
     "bandit_reward_grad",
     "make_bandit",
     "make_finite_mdp",
-    "pack_actions",
 ]
-
-
-def pack_actions(actions) -> np.ndarray:
-    """Concatenate per-agent action vectors into one flat vector (agent order)."""
-    return np.concatenate([np.asarray(a, dtype=float).ravel() for a in actions])
 
 
 class NetworkedMdp(abc.ABC):
@@ -163,19 +160,12 @@ class ContinuousBandit(NetworkedMdp):
         return (self.action_dim,) * self.agent_count
 
     def action_sum(self, actions) -> np.ndarray:
-        if len(actions) != self.agent_count:
-            raise DimensionMismatch(
-                f"joint action has {len(actions)} components, expected {self.agent_count}"
-            )
-        total = np.zeros(self.action_dim)
-        for a in actions:
-            a = np.asarray(a, dtype=float).ravel()
-            if a.shape != (self.action_dim,):
-                raise DimensionMismatch(
-                    f"action has shape {a.shape}, expected ({self.action_dim},)"
-                )
-            total += a
-        return total
+        """sum_i a^i in agent order (``.sum`` adds pairwise); a list of the a^i works too."""
+        a = np.asarray(actions, dtype=float)
+        n, m = self.agent_count, self.action_dim
+        if a.size != n * m:
+            raise DimensionMismatch(f"joint action has {a.size} entries, expected {n * m}")
+        return np.add.accumulate(a.reshape(n, m), axis=0)[-1]
 
     def local_rewards(self, s, actions) -> np.ndarray:
         return np.full(self.agent_count, bandit_reward(self, actions))
@@ -315,8 +305,8 @@ class FiniteTestMdp(NetworkedMdp):
         return (1,) * self.agent_count
 
     def _gate(self, actions) -> float:
-        u = float(sum(np.asarray(a, dtype=float).sum() for a in actions))
-        return _sigmoid(u)
+        # Agent order: a flat ``.sum`` adds pairwise and moves the gate's last bits.
+        return _sigmoid(float(np.add.accumulate(actions)[-1]))
 
     def transition_row(self, s, actions) -> np.ndarray:
         g = self._gate(actions)
@@ -334,8 +324,7 @@ class FiniteTestMdp(NetworkedMdp):
         return (g * (1.0 - g) * (self.p1[s] - self.p0[s]))[None, :]
 
     def local_rewards(self, s, actions) -> np.ndarray:
-        flat = pack_actions(actions)
-        z = self.offset[:, s] + self.coef @ flat
+        z = self.offset[:, s] + self.coef @ actions
         return self.base[:, s] + self.amp[:, s] * np.tanh(z)
 
     def mean_reward(self, s, actions) -> float:
@@ -349,8 +338,7 @@ class FiniteTestMdp(NetworkedMdp):
 
     def reward_grad_action(self, i, s, actions) -> np.ndarray:
         """d Rbar / d a^i, shape (1,)."""
-        flat = pack_actions(actions)
-        z = self.offset[:, s] + self.coef @ flat
+        z = self.offset[:, s] + self.coef @ actions
         sech2 = 1.0 - np.tanh(z) ** 2
         g = float(np.mean(self.amp[:, s] * sech2 * self.coef[:, i]))
         return np.array([g])

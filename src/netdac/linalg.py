@@ -7,7 +7,6 @@ dense direct methods are used throughout.
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -51,6 +50,10 @@ def solve_linear(a, b) -> np.ndarray:
         raise DimensionMismatch(f"right-hand side has length {b.shape[0]}, expected {n}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
+    # Imported here so that runs without a linear solve (every bandit run)
+    # never load scipy.
+    import scipy.linalg
+
     with warnings.catch_warnings():
         # Singularity is detected explicitly below; silence the factorizer's
         # own advisory so callers see exactly one signal.
@@ -83,6 +86,8 @@ def stationary_distribution(p) -> np.ndarray:
     row_err = np.max(np.abs(p.sum(axis=1) - 1.0))
     if row_err > _STOCHASTIC_TOL or np.min(p) < -_STOCHASTIC_TOL:
         raise ValueError(f"matrix is not row-stochastic (row-sum error {row_err:.3e})")
+    if n == 1:
+        return np.ones(1)  # the solve below gives exactly this
     a = p.T - np.eye(n)
     a[-1, :] = 1.0
     rhs = np.zeros(n)

@@ -319,7 +319,7 @@ def offpolicy_fixed_point(
     a_matrix = np.empty((k, n_s))
     b_by_state = np.empty((n_s, k, k))
     for s in range(n_s):
-        batch = policy.act_flat(s) + offsets
+        batch = policy.act(s) + offsets
         kernel_pi[s] = weights @ mdp.transition_row_batch(s, batch)
         rbar = mdp.mean_reward_batch(s, batch)
         feats = features.eval_batch(s, batch)
@@ -385,7 +385,7 @@ def stochastic_pg_estimate(
     kernel_pi = np.empty((n_s, n_s))
     reward_pi = np.empty(n_s)
     for s in range(n_s):
-        batch = policy.act_flat(s) + offsets
+        batch = policy.act(s) + offsets
         kernel_pi[s] = weights @ mdp.transition_row_batch(s, batch)
         reward_pi[s] = weights @ mdp.mean_reward_batch(s, batch)
     kernel_pi = np.clip(kernel_pi, 0.0, None)
@@ -403,12 +403,15 @@ def stochastic_pg_estimate(
         if m == 0:
             continue
         e = eps[mask]
-        batch = policy.act_flat(s) + e
+        batch = policy.act(s) + e
         rbar = mdp.mean_reward_batch(s, batch)
         rows = mdp.transition_row_batch(s, batch)
         adv = rbar - j_pi + rows @ v_pi - v_pi[s]
-        # Score of the Gaussian policy: d log pi / d theta = J_mu(s) eps / sigma^2.
-        scores = policy.jac_blockdiag(s) @ e.T / sigma**2  # (P, m)
+        # Score of the Gaussian policy: d log pi / d theta = J_mu(s) eps / sigma^2,
+        # with the block-diagonal policy Jacobian J_mu(s) applied as a gather.
+        jrows, jcols = policy.jac_index(s)
+        scores = np.zeros((total_p, m))
+        scores[jrows] = e[:, jcols].T / sigma**2
         contrib = scores * adv[None, :]
         acc += contrib.sum(axis=1)
         acc_sq += (contrib**2).sum(axis=1)

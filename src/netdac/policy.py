@@ -99,12 +99,11 @@ class PolicySet:
         b = t[n * self.n_states :]
         return w[:, s] + b
 
-    def act(self, s: int) -> list:
-        """Joint action [mu^1(s), ..., mu^N(s)]."""
-        return [self.act_agent(i, s) for i in range(self.agent_count)]
-
-    def act_flat(self, s: int) -> np.ndarray:
-        return np.concatenate(self.act(s))
+    def act(self, s: int) -> np.ndarray:
+        """Joint action mu(s) = (mu^1(s), ..., mu^N(s)), one flat vector."""
+        if self.form == "constant":
+            return np.concatenate(self.theta)
+        return np.concatenate([self.act_agent(i, s) for i in range(self.agent_count)])
 
     def jac(self, i: int, s: int) -> np.ndarray:
         """d mu^i(s) / d theta^i, shape (param_dim(i), n_i), read-only."""
@@ -125,28 +124,30 @@ class PolicySet:
         self._jac_cache[key] = j
         return j
 
-    def jac_blockdiag(self, s: int) -> np.ndarray:
-        """Block-diagonal stack of all agents' Jacobians, read-only.
+    def jac_index(self, s: int) -> tuple:
+        """Unit entries ``(rows, cols)`` of the block-diagonal Jacobian d mu(s) / d theta.
 
-        Shape (total_param_dim, sum(action_dims)); block i maps agent i's
-        action coordinates to agent i's parameter coordinates.
+        The Jacobian has shape (total_param_dim, sum(action_dims)); block i
+        maps agent i's action coordinates to its parameter coordinates.
+        Every entry is 0 or 1 and every parameter row holds at most one 1,
+        so ``J @ x`` is the gather ``out[rows] = x[cols]``.
         """
-        key = ("block", s if self.form == "affine" else 0)
+        key = ("index", s if self.form == "affine" else 0)
         cached = self._jac_cache.get(key)
-        if cached is not None:
-            return cached
-        total_p = self.total_param_dim
-        total_a = sum(self.action_dims)
-        out = np.zeros((total_p, total_a))
-        rp = ra = 0
-        for i in range(self.agent_count):
-            mp, na = self.param_dim(i), self.action_dims[i]
-            out[rp : rp + mp, ra : ra + na] = self.jac(i, s)
-            rp += mp
-            ra += na
-        out.flags.writeable = False
-        self._jac_cache[key] = out
-        return out
+        if cached is None:
+            rows, cols = [], []
+            p0 = a0 = 0
+            for i in range(self.agent_count):
+                r, c = np.nonzero(self.jac(i, s))
+                rows.append(r + p0)
+                cols.append(c + a0)
+                p0 += self.param_dim(i)
+                a0 += self.action_dims[i]
+            cached = (np.concatenate(rows), np.concatenate(cols))
+            for index in cached:
+                index.flags.writeable = False
+            self._jac_cache[key] = cached
+        return cached
 
     # -- parameter access ---------------------------------------------------
 
@@ -209,19 +210,13 @@ class GaussianNoise:
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
-    def perturb(self, actions, rng: np.random.Generator) -> list:
-        """Add N(0, sigma^2 I) noise to each agent's action."""
+    def perturb(self, actions, rng: np.random.Generator) -> np.ndarray:
+        """A new joint action a + N(0, sigma^2 I); sigma = 0 copies and draws nothing."""
+        a = np.asarray(actions, dtype=float)
         if self.sigma == 0.0:
-            return [np.asarray(a, dtype=float).copy() for a in actions]
-        sizes = [np.asarray(a).size for a in actions]
-        noise = self.sigma * rng.standard_normal(sum(sizes))
-        out = []
-        k = 0
-        for a, n in zip(actions, sizes):
-            out.append(np.asarray(a, dtype=float) + noise[k : k + n])
-            k += n
-        return out
+            return a.copy()
+        return a + self.sigma * rng.standard_normal(a.size)
 
-    def sample(self, policy: PolicySet, s: int, rng: np.random.Generator) -> list:
+    def sample(self, policy: PolicySet, s: int, rng: np.random.Generator) -> np.ndarray:
         """Draw a joint action from N(mu_theta(s), sigma^2 I)."""
         return self.perturb(policy.act(s), rng)

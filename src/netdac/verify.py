@@ -317,22 +317,18 @@ def _check_compatible_identity():
     theta = [rng.uniform(-1, 1, size=2) for _ in range(3)]
     policy = constant_policy(env.action_dims, theta)
     features = CompatibleQFeatures(policy, centered=False, bias=True)
+    starts = np.cumsum((0,) + policy.param_dims)
     for _ in range(20):
-        acts = [rng.uniform(-2, 2, size=2) for _ in range(3)]
+        acts = rng.uniform(-2, 2, size=6)
         omega = rng.standard_normal(features.dim)
         q_a = features.eval(0, acts) @ omega
         q_mu = features.eval(0, policy.act(0)) @ omega
         jac_term = 0.0
         for i in range(3):
-            gap = np.asarray(acts[i]) - policy.act_agent(i, 0)
-            jac_term += float(gap @ (policy.jac(i, 0).T @ omega[_agent_slice(policy, i)]))
+            gap = acts[2 * i : 2 * i + 2] - policy.act_agent(i, 0)
+            jac_term += float(gap @ (policy.jac(i, 0).T @ omega[starts[i] : starts[i + 1]]))
         worst = max(worst, abs(q_a - q_mu - jac_term))
     return worst, 0.0, 1e-10, "Qhat(s,a) - Qhat(s,mu) equals (a - mu) . grad-block identity"
-
-
-def _agent_slice(policy, i):
-    start = sum(policy.param_dim(j) for j in range(i))
-    return slice(start, start + policy.param_dim(i))
 
 
 def _check_feature_gradients():
@@ -350,13 +346,12 @@ def _check_feature_gradients():
     for fmap in maps:
         for _ in range(5):
             s = int(rng.integers(4))
-            acts = [rng.uniform(-1, 1, size=1) for _ in range(2)]
+            acts = rng.uniform(-1, 1, size=2)
             for i in range(2):
                 analytic = fmap.grad_action(s, acts, i)
-                hi = [a.copy() for a in acts]
-                lo = [a.copy() for a in acts]
-                hi[i][0] += h
-                lo[i][0] -= h
+                hi, lo = acts.copy(), acts.copy()
+                hi[i] += h
+                lo[i] -= h
                 fd = (fmap.eval(s, hi) - fmap.eval(s, lo)) / (2 * h)
                 worst = max(worst, float(np.max(np.abs(analytic[0] - fd))))
     return worst, 0.0, 1e-6, "feature action-gradients vs central differences"

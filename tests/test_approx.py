@@ -16,21 +16,21 @@ from netdac.policy import affine_policy, constant_policy
 _FD = 1e-6
 
 
-def _fd_feature_grad(features, s, actions, i):
+def _fd_feature_grad(features, s, actions, dims, i):
     """Central finite differences of phi in agent i's action coordinates."""
-    n_i = len(actions[i])
-    out = np.zeros((n_i, features.dim))
-    for k in range(n_i):
-        hi = [np.asarray(a, dtype=float).copy() for a in actions]
-        lo = [np.asarray(a, dtype=float).copy() for a in actions]
-        hi[i][k] += _FD
-        lo[i][k] -= _FD
+    start = sum(dims[:i])
+    out = np.zeros((dims[i], features.dim))
+    for k in range(dims[i]):
+        hi, lo = actions.copy(), actions.copy()
+        hi[start + k] += _FD
+        lo[start + k] -= _FD
         out[k] = (features.eval(s, hi) - features.eval(s, lo)) / (2 * _FD)
     return out
 
 
 def _rand_actions(rng, dims):
-    return [rng.standard_normal(d) for d in dims]
+    """A flat joint action for agents with the given action dimensions."""
+    return rng.standard_normal(sum(dims))
 
 
 class TestCompatibleQFeatures:
@@ -38,7 +38,7 @@ class TestCompatibleQFeatures:
         # With identity Jacobians and no centering, phi is just the flat action.
         pol = constant_policy((2, 1))
         feats = CompatibleQFeatures(pol, centered=False, bias=False)
-        phi = feats.eval(0, [np.array([1.0, 2.0]), np.array([3.0])])
+        phi = feats.eval(0, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(phi, [1.0, 2.0, 3.0])
 
     def test_centered_vanishes_at_policy_action(self):
@@ -85,7 +85,7 @@ class TestCompatibleQFeatures:
                 for i in range(2):
                     got = feats.grad_action(s, acts, i)
                     np.testing.assert_allclose(
-                        got, _fd_feature_grad(feats, s, acts, i), atol=1e-8
+                        got, _fd_feature_grad(feats, s, acts, (2, 3), i), atol=1e-8
                     )
 
     def test_eval_batch_matches_eval(self):
@@ -97,8 +97,7 @@ class TestCompatibleQFeatures:
         batch = feats.eval_batch(1, flat)
         assert batch.shape == (7, feats.dim)
         for t in range(7):
-            row = feats.eval(1, [flat[t, :2], flat[t, 2:]])
-            np.testing.assert_allclose(batch[t], row, atol=1e-12)
+            np.testing.assert_array_equal(batch[t], feats.eval(1, flat[t]))
 
     def test_value_offset_only_under_centering(self):
         # Centering shifts values, never action gradients.
@@ -108,7 +107,7 @@ class TestCompatibleQFeatures:
         w = rng.standard_normal(2)
         plain = CompatibleQFeatures(pol, centered=False, bias=False)
         cent = CompatibleQFeatures(pol, centered=True, bias=False)
-        acts = [rng.standard_normal(2)]
+        acts = rng.standard_normal(2)
         np.testing.assert_allclose(
             plain.grad_action(0, acts, 0) @ w, cent.grad_action(0, acts, 0) @ w, atol=1e-14
         )
@@ -118,11 +117,13 @@ class TestCompatibleQFeatures:
         pol = constant_policy((2, 1))
         feats = CompatibleQFeatures(pol)
         with pytest.raises(DimensionMismatch):
-            feats.eval(0, [np.zeros(2)])
+            feats.eval(0, np.zeros(2))
         with pytest.raises(DimensionMismatch):
-            feats.eval(0, [np.zeros(3), np.zeros(1)])
+            feats.eval(0, np.zeros(4))
+        with pytest.raises(DimensionMismatch):
+            feats.eval_batch(0, np.zeros((5, 2)))
         with pytest.raises(IndexError):
-            feats.grad_action(0, [np.zeros(2), np.zeros(1)], 5)
+            feats.grad_action(0, np.zeros(3), 5)
 
 
 class TestCompatibleRFeatures:
@@ -132,7 +133,7 @@ class TestCompatibleRFeatures:
         feats = CompatibleRFeatures(pol, bias=False)
         np.testing.assert_array_equal(feats.eval(0, pol.act(0)), np.zeros(3))
         np.testing.assert_array_equal(
-            feats.eval(0, [np.array([2.0, 2.0, 3.0])]), [1.0, 0.0, 0.0]
+            feats.eval(0, np.array([2.0, 2.0, 3.0])), [1.0, 0.0, 0.0]
         )
 
 
@@ -149,13 +150,13 @@ class TestFourierFeatures:
             assert np.all(np.abs(phi) <= 1.0)
             np.testing.assert_array_equal(phi, again.eval(s, acts))
         assert np.any(
-            FourierFeatures(3, (2, 1), dim=8, seed=6).eval(0, [np.zeros(2), np.zeros(1)])
-            != feats.eval(0, [np.zeros(2), np.zeros(1)])
+            FourierFeatures(3, (2, 1), dim=8, seed=6).eval(0, np.zeros(3))
+            != feats.eval(0, np.zeros(3))
         )
 
     def test_state_sensitivity(self):
         feats = FourierFeatures(2, (1,), dim=6, seed=0)
-        acts = [np.array([0.3])]
+        acts = np.array([0.3])
         assert np.any(feats.eval(0, acts) != feats.eval(1, acts))
 
     def test_gradients_match_fd(self):
@@ -166,7 +167,7 @@ class TestFourierFeatures:
             for i in range(2):
                 got = feats.grad_action(1, acts, i)
                 np.testing.assert_allclose(
-                    got, _fd_feature_grad(feats, 1, acts, i), atol=1e-7
+                    got, _fd_feature_grad(feats, 1, acts, (2, 2), i), atol=1e-7
                 )
 
     def test_eval_batch_matches_eval(self):
@@ -176,29 +177,30 @@ class TestFourierFeatures:
         batch = feats.eval_batch(0, flat)
         for t in range(6):
             np.testing.assert_allclose(
-                batch[t], feats.eval(0, [flat[t, :2], flat[t, 2:]]), atol=1e-12
+                batch[t], feats.eval(0, flat[t]), atol=1e-12
             )
 
     def test_state_range_checked(self):
         feats = FourierFeatures(2, (1,), dim=3, seed=0)
         with pytest.raises(IndexError):
-            feats.eval(2, [np.zeros(1)])
+            feats.eval(2, np.zeros(1))
+        with pytest.raises(DimensionMismatch):
+            feats.eval(0, np.zeros(2))
 
 
 class TestTabularFeatures:
     def test_one_hot(self):
-        feats = TabularFeatures(4)
-        np.testing.assert_array_equal(feats.eval(2, [np.zeros(1)]), [0, 0, 1, 0])
+        feats = TabularFeatures(4, (1,))
+        np.testing.assert_array_equal(feats.eval(2, np.zeros(1)), [0, 0, 1, 0])
         assert feats.dim == 4
 
     def test_zero_action_gradient(self):
-        feats = TabularFeatures(3)
-        np.testing.assert_array_equal(
-            feats.grad_action(1, [np.zeros(2)], 0), np.zeros((2, 3))
-        )
+        feats = TabularFeatures(3, (2, 1))
+        np.testing.assert_array_equal(feats.grad_action(1, np.zeros(3), 0), np.zeros((2, 3)))
+        np.testing.assert_array_equal(feats.grad_action(1, np.zeros(3), 1), np.zeros((1, 3)))
 
     def test_state_range_checked(self):
-        feats = TabularFeatures(2)
+        feats = TabularFeatures(2, (1,))
         with pytest.raises(IndexError):
-            feats.eval(5, [np.zeros(1)])
+            feats.eval(5, np.zeros(1))
 

@@ -230,6 +230,23 @@ class TestCli:
             bodies.append(body)
         assert bodies[0] == bodies[1]
 
+    def test_run_parallel_workers_match_serial(self, tmp_path, monkeypatch):
+        # Seeds run in two worker processes write the serial run's rows.
+        outputs = {}
+        for workers in ("1", "2"):
+            out_csv = tmp_path / f"w{workers}.csv"
+            cfg_path = tmp_path / f"w{workers}.cfg"
+            cfg_path.write_text(
+                "agents = 4\naction_dim = 2\nseeds = 3, 8\nbatches = 4\ntopology = ring\n"
+                f"failure_prob = 0.3\noutput = {out_csv}\n"
+            )
+            monkeypatch.setenv("NETDAC_MAX_WORKERS", workers)
+            assert main(["run", str(cfg_path)]) == 0
+            body = [line.rsplit(",", 1)[0] for line in out_csv.read_text().splitlines()]
+            outputs[workers] = (body, (tmp_path / f"w{workers}_mean.csv").read_text())
+        assert outputs["1"] == outputs["2"]
+        assert len(outputs["1"][0]) == 1 + 2 * 5 + 2
+
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("agents = -1\n")

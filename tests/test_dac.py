@@ -100,7 +100,7 @@ class TestAlg1Step:
 
         for _ in range(40):
             s_t = state.s
-            a_t = [a.copy() for a in state.actions]
+            a_t = state.actions.copy()
             w_t = state.critic.copy()
             jhat_t = state.jhat.copy()
             theta_t = [t.copy() for t in state.policy.theta]
@@ -186,7 +186,7 @@ class TestAlg2Step:
         # next lambda is -1.6 + 0.1*(-16 + 1.6) = -3.04.
         env = ContinuousBandit(2, 1, np.array([[1.0]]), np.array([4.0]))
         pol = constant_policy(env.action_dims)
-        feats = TabularFeatures(1)
+        feats = TabularFeatures(1, env.action_dims)
         proc = GraphProcess(complete_graph(2))
         sch = Schedule("constant", 0.1, 0.0)
         behavior = GaussianNoise(0.0)
@@ -210,7 +210,7 @@ class TestAlg2Step:
 
         for _ in range(40):
             s_t = state.s
-            a_t = [a.copy() for a in state.actions]
+            a_t = state.actions.copy()
             lam_t = state.critic.copy()
             theta_t = [t.copy() for t in state.policy.theta]
             pol_snapshot = state.policy.copy()
@@ -240,7 +240,7 @@ class TestAlg2Step:
         draws = []
         for _ in range(500):
             alg2_step(state, env, feats, proc, sch, behavior=behavior)
-            draws.append(np.concatenate(state.actions))
+            draws.append(state.actions.copy())
         draws = np.array(draws)
         assert abs(draws.std() - 0.5) < 0.05
         assert abs(draws.mean()) < 0.05

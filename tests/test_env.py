@@ -13,8 +13,8 @@ from netdac.env import (
     bandit_reward_grad,
     make_bandit,
     make_finite_mdp,
-    pack_actions,
 )
+from netdac.policy import constant_policy
 from netdac.errors import DimensionMismatch
 
 _FD = 1e-6
@@ -27,24 +27,41 @@ def _split(flat, dims):
 
 def _fd_reward_grad(mdp, s, actions, i):
     """Central finite differences of the mean reward in agent i's action."""
-    base = [np.asarray(a, dtype=float).copy() for a in actions]
-    out = np.zeros(len(base[i]))
-    for k in range(len(base[i])):
-        hi = [a.copy() for a in base]
-        lo = [a.copy() for a in base]
-        hi[i][k] += _FD
-        lo[i][k] -= _FD
+    start = sum(mdp.action_dims[:i])
+    out = np.zeros(mdp.action_dims[i])
+    for k in range(len(out)):
+        hi, lo = actions.copy(), actions.copy()
+        hi[start + k] += _FD
+        lo[start + k] -= _FD
         out[k] = (mdp.mean_reward(s, hi) - mdp.mean_reward(s, lo)) / (2 * _FD)
     return out
 
 
 class TestPackUnpack:
     def test_round_trip(self):
+        # A joint action is one flat vector with each agent's action at its
+        # static offset: splitting at the offsets gives the actions back.
         acts = [np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0, 5.0, 6.0])]
-        flat = pack_actions(acts)
+        flat = constant_policy((2, 1, 3), acts).act(0)
         np.testing.assert_array_equal(flat, [1, 2, 3, 4, 5, 6])
         back = _split(flat, (2, 1, 3))
         assert all(np.array_equal(a, b) for a, b in zip(acts, back))
+
+    def test_agent_sums_run_in_agent_order(self):
+        # Ten scalar actions: numpy's flat sum adds pairwise, the simulator
+        # must add agent after agent (bit for bit).
+        rng = np.random.default_rng(3)
+        bandit = make_bandit(10, 1, seed=0)
+        mdp = make_finite_mdp(3, 10, seed=0)
+        for _ in range(200):
+            a = rng.standard_normal(10)
+            total = 0.0
+            for x in a:
+                total += x
+            assert bandit.action_sum(a)[0] == total
+            gate = 1.0 / (1.0 + np.exp(-np.clip(total, -60.0, 60.0)))
+            row = (1.0 - gate) * mdp.p0[1] + gate * mdp.p1[1]
+            np.testing.assert_array_equal(mdp.transition_row(1, a), row)
 
 
 _CONTRACT_ENVS = {
@@ -75,7 +92,7 @@ class TestEnvironmentContract:
             assert rows.shape == (len(flat), env.state_count)
             assert rewards.shape == (len(flat),)
             for t in range(len(flat)):
-                acts = _split(flat[t], env.action_dims)
+                acts = flat[t]
                 row = env.transition_row(s, acts)
                 np.testing.assert_allclose(rows[t], row, rtol=0, atol=1e-12)
                 assert abs(rewards[t] - env.mean_reward(s, acts)) <= 1e-12
@@ -86,12 +103,11 @@ class TestEnvironmentContract:
         flat = self._batch(env, t=3, seed=8)
         starts = np.cumsum((0,) + env.action_dims)
         for s in range(env.state_count):
-            for a in flat:
-                acts = _split(a, env.action_dims)
+            for acts in flat:
                 for i in range(env.agent_count):
                     cols = range(starts[i], starts[i + 1])
                     # Rows 2k and 2k+1 step coordinate k of agent i up and down.
-                    probe = np.repeat(a[None, :], 2 * len(cols), axis=0)
+                    probe = np.repeat(acts[None, :], 2 * len(cols), axis=0)
                     for k, col in enumerate(cols):
                         probe[2 * k, col] += _FD
                         probe[2 * k + 1, col] -= _FD
@@ -123,29 +139,27 @@ class TestContinuousBandit:
     def test_hand_reward_scalar(self):
         # Two agents, 1-D actions, unit cost: r = -(1 + 1 - 4)^2 = -4.
         env = ContinuousBandit(2, 1, np.array([[1.0]]), np.array([4.0]))
-        assert bandit_reward(env, [np.array([1.0]), np.array([1.0])]) == -4.0
+        assert bandit_reward(env, np.array([1.0, 1.0])) == -4.0
         # The reward is shared verbatim by every agent.
-        np.testing.assert_array_equal(
-            env.local_rewards(0, [np.array([1.0]), np.array([1.0])]), [-4.0, -4.0]
-        )
+        np.testing.assert_array_equal(env.local_rewards(0, np.array([1.0, 1.0])), [-4.0, -4.0])
 
     def test_hand_reward_matrix(self):
         # C = diag(1, 2), target (4, 4), sum (5, 2): r = -(1^2*1 + 2^2*2) = -9.
         env = ContinuousBandit(2, 2, np.diag([1.0, 2.0]), np.full(2, 4.0))
-        acts = [np.array([2.0, 1.0]), np.array([3.0, 1.0])]
+        acts = np.array([2.0, 1.0, 3.0, 1.0])
         assert bandit_reward(env, acts) == -9.0
 
     def test_optimum_is_zero(self):
         env = make_bandit(3, 4, seed=2)
-        acts = [np.full(4, 4.0 / 3), np.full(4, 4.0 / 3), np.full(4, 4.0 / 3)]
+        acts = np.full(12, 4.0 / 3)
         assert abs(bandit_reward(env, acts)) < 1e-12
 
     def test_gradient_closed_form_and_fd(self):
         rng = np.random.default_rng(0)
         env = make_bandit(3, 5, seed=1)
         for _ in range(10):
-            acts = [rng.standard_normal(5) for _ in range(3)]
-            dev = sum(acts) - env.target
+            acts = rng.standard_normal(15)
+            dev = acts[:5] + acts[5:10] + acts[10:] - env.target
             want = -2.0 * env.cost @ dev
             for i in range(3):
                 got = bandit_reward_grad(env, acts, i)
@@ -156,7 +170,7 @@ class TestContinuousBandit:
 
     def test_gradient_identical_across_agents(self):
         env = make_bandit(4, 3, seed=5)
-        acts = [np.ones(3) * k for k in range(4)]
+        acts = np.repeat(np.arange(4.0), 3)
         grads = [bandit_reward_grad(env, acts, i) for i in range(4)]
         for g in grads[1:]:
             np.testing.assert_array_equal(g, grads[0])
@@ -178,7 +192,7 @@ class TestContinuousBandit:
 
     def test_single_state_transitions(self):
         env = make_bandit(2, 2, seed=0)
-        acts = [np.zeros(2), np.zeros(2)]
+        acts = np.zeros(4)
         assert env.state_count == 1
         rng = np.random.default_rng(0)
         untouched = np.random.default_rng(0)
@@ -198,9 +212,9 @@ class TestContinuousBandit:
             ContinuousBandit(2, 2, np.eye(3), np.ones(2))
         env = make_bandit(2, 2)
         with pytest.raises(DimensionMismatch):
-            bandit_reward(env, [np.ones(2)])
+            bandit_reward(env, np.ones(2))
         with pytest.raises(DimensionMismatch):
-            bandit_reward(env, [np.ones(3), np.ones(2)])
+            bandit_reward(env, np.ones(5))
 
 
 class TestFiniteTestMdp:
@@ -212,7 +226,7 @@ class TestFiniteTestMdp:
         rng = np.random.default_rng(1)
         for s in range(mdp.state_count):
             for _ in range(5):
-                acts = [rng.standard_normal(1) * 2 for _ in range(mdp.agent_count)]
+                acts = rng.standard_normal(mdp.agent_count) * 2
                 row = mdp.transition_row(s, acts)
                 assert row.shape == (mdp.state_count,)
                 assert np.all(row > 0)
@@ -220,7 +234,7 @@ class TestFiniteTestMdp:
 
     def test_mean_reward_is_average_of_locals(self):
         mdp = self.make()
-        acts = [np.array([-0.4]), np.array([0.2]), np.array([1.0])]
+        acts = np.array([-0.4, 0.2, 1.0])
         locals_ = mdp.local_rewards(2, acts)
         assert mdp.mean_reward(2, acts) == pytest.approx(locals_.mean())
 
@@ -230,7 +244,7 @@ class TestFiniteTestMdp:
         bound = np.max(np.abs(mdp.base)) + np.max(np.abs(mdp.amp))
         for _ in range(50):
             s = int(rng.integers(mdp.state_count))
-            acts = [rng.standard_normal(1) * 10 for _ in range(mdp.agent_count)]
+            acts = rng.standard_normal(mdp.agent_count) * 10
             assert abs(mdp.mean_reward(s, acts)) <= bound + 1e-12
 
     def test_reward_grad_matches_fd(self):
@@ -238,7 +252,7 @@ class TestFiniteTestMdp:
         rng = np.random.default_rng(4)
         for _ in range(5):
             s = int(rng.integers(mdp.state_count))
-            acts = [rng.standard_normal(1) for _ in range(mdp.agent_count)]
+            acts = rng.standard_normal(mdp.agent_count)
             for i in range(mdp.agent_count):
                 got = mdp.reward_grad_action(i, s, acts)
                 np.testing.assert_allclose(got, _fd_reward_grad(mdp, s, acts, i), atol=1e-7)
@@ -248,20 +262,19 @@ class TestFiniteTestMdp:
         rng = np.random.default_rng(5)
         for _ in range(5):
             s = int(rng.integers(mdp.state_count))
-            acts = [rng.standard_normal(1) for _ in range(mdp.agent_count)]
+            acts = rng.standard_normal(mdp.agent_count)
             for i in range(mdp.agent_count):
                 got = mdp.transition_grad_action(i, s, acts)
                 fd = np.zeros((1, mdp.state_count))
-                hi = [a.copy() for a in acts]
-                lo = [a.copy() for a in acts]
-                hi[i][0] += _FD
-                lo[i][0] -= _FD
+                hi, lo = acts.copy(), acts.copy()
+                hi[i] += _FD
+                lo[i] -= _FD
                 fd[0] = (mdp.transition_row(s, hi) - mdp.transition_row(s, lo)) / (2 * _FD)
                 np.testing.assert_allclose(got, fd, atol=1e-7)
 
     def test_sampling_frequencies_match_row(self):
         mdp = self.make(states=3, agents=2, seed=8)
-        acts = [np.array([0.5]), np.array([-0.2])]
+        acts = np.array([0.5, -0.2])
         row = mdp.transition_row(0, acts)
         rng = np.random.default_rng(123)
         n = 40_000
@@ -274,6 +287,6 @@ class TestFiniteTestMdp:
     def test_construction_deterministic(self):
         a = make_finite_mdp(4, 3, seed=11)
         b = make_finite_mdp(4, 3, seed=11)
-        acts = [np.array([0.1]), np.array([0.2]), np.array([0.3])]
+        acts = np.array([0.1, 0.2, 0.3])
         np.testing.assert_array_equal(a.transition_row(0, acts), b.transition_row(0, acts))
         np.testing.assert_array_equal(a.local_rewards(1, acts), b.local_rewards(1, acts))

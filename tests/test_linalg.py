@@ -1,5 +1,9 @@
 """Dense linear-algebra helpers, checked against hand values and identities."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -70,6 +74,12 @@ class TestStationaryDistribution:
             assert abs(d.sum() - 1.0) < 1e-12
             np.testing.assert_allclose(d @ p, d, atol=1e-10)
 
+    def test_single_state(self):
+        # A one-state chain needs no solve: the answer is exactly [1.].
+        np.testing.assert_array_equal(stationary_distribution(np.ones((1, 1))), [1.0])
+        with pytest.raises(ValueError):
+            stationary_distribution(np.array([[0.5]]))
+
     def test_reducible_identity_raises(self):
         # The identity chain has no unique stationary distribution.
         with pytest.raises(SingularMatrix):
@@ -109,3 +119,21 @@ class TestProjectBox:
             x = rng.standard_normal(6) * 3
             once = project_box(x, -1.0, 1.0)
             np.testing.assert_array_equal(project_box(once, -1.0, 1.0), once)
+
+
+def test_bandit_run_loads_no_scipy():
+    # Only linear solves need scipy, and a bandit run makes none, so it
+    # never pays scipy's import time.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, netdac\n"
+        "from netdac.config import RunConfig\n"
+        "netdac.run_experiment(RunConfig(agents=3, action_dim=2, seeds=(0, 1), batches=3))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

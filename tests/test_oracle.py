@@ -200,7 +200,7 @@ class TestMspbeFixedPoint:
         # uniqueness of the average-reward projected solution.
         mdp, pol, _ = self.setup_case()
         with pytest.raises(RankDeficientFeatures):
-            mspbe_fixed_point(mdp, pol, TabularFeatures(5))
+            mspbe_fixed_point(mdp, pol, TabularFeatures(5, mdp.action_dims))
 
 
 class _DuplicatedConstant(FeatureMap):
@@ -226,7 +226,7 @@ class TestOffPolicyFixedPoint:
         pol.theta[0] = np.array([1.0])
         pol.theta[1] = np.array([0.5])
         sigma = 0.3
-        feats = TabularFeatures(1)
+        feats = TabularFeatures(1, env.action_dims)
         fp = offpolicy_fixed_point(env, pol, sigma, feats)
         dev = pol.theta[0] + pol.theta[1] - env.target
         want = -(dev @ env.cost @ dev) - 2 * sigma**2 * np.trace(env.cost)
@@ -260,7 +260,7 @@ class TestOffPolicyFixedPoint:
         fp = offpolicy_fixed_point(env, pol, sigma, feats)
         rng = np.random.default_rng(8)
         n = 400_000
-        draws = pol.act_flat(0) + sigma * rng.standard_normal((n, 2))
+        draws = pol.act(0) + sigma * rng.standard_normal((n, 2))
         w = feats.eval_batch(0, draws)
         r = env.mean_reward_batch(0, draws)
         b_hat = w.T @ w / n
@@ -292,7 +292,7 @@ class TestOffPolicyFixedPoint:
         env = make_bandit(2, 1, seed=0)
         pol = constant_policy(env.action_dims)
         with pytest.raises(ValueError):
-            offpolicy_fixed_point(env, pol, 0.0, TabularFeatures(1))
+            offpolicy_fixed_point(env, pol, 0.0, TabularFeatures(1, env.action_dims))
 
     def test_finite_mdp_stationarity(self):
         # Independent check on a multi-state instance: the solution must
@@ -311,7 +311,7 @@ class TestOffPolicyFixedPoint:
             m = int((states == s).sum())
             if m == 0:
                 continue
-            draws = pol.act_flat(s) + sigma * rng.standard_normal((m, 2))
+            draws = pol.act(s) + sigma * rng.standard_normal((m, 2))
             w = feats.eval_batch(s, draws)
             r = mdp.mean_reward_batch(s, draws)
             resid += w.T @ (r - w @ fp.lam)
@@ -388,7 +388,7 @@ def _smoothed_j(mdp, pol, flat_theta, sigma):
         kernel = np.empty((n_s, n_s))
         reward = np.empty(n_s)
         for s in range(n_s):
-            batch = pol.act_flat(s) + offsets
+            batch = pol.act(s) + offsets
             kernel[s] = weights @ mdp.transition_row_batch(s, batch)
             reward[s] = weights @ mdp.mean_reward_batch(s, batch)
         kernel = np.clip(kernel, 0.0, None)

@@ -12,10 +12,13 @@ class TestConstantPolicy:
         pol = constant_policy((2, 3))
         pol.theta[0] = np.array([1.0, -1.0])
         pol.theta[1] = np.array([0.5, 0.0, 2.0])
+        np.testing.assert_array_equal(pol.act_agent(0, 0), [1.0, -1.0])
+        np.testing.assert_array_equal(pol.act_agent(1, 0), [0.5, 0.0, 2.0])
+        # The joint action is one flat vector, agents in order.
         acts = pol.act(0)
-        np.testing.assert_array_equal(acts[0], [1.0, -1.0])
-        np.testing.assert_array_equal(acts[1], [0.5, 0.0, 2.0])
-        np.testing.assert_array_equal(pol.act_flat(0), [1.0, -1.0, 0.5, 0.0, 2.0])
+        np.testing.assert_array_equal(acts, [1.0, -1.0, 0.5, 0.0, 2.0])
+        acts[0] = 9.0  # a fresh array, not a view of theta
+        assert pol.theta[0][0] == 1.0
 
     def test_jacobian_is_identity(self):
         pol = constant_policy((2, 3))
@@ -40,6 +43,7 @@ class TestAffinePolicy:
         # mu(s) = W[:, s] + b.
         np.testing.assert_array_equal(pol.act_agent(0, 0), [11.0, 24.0])
         np.testing.assert_array_equal(pol.act_agent(0, 2), [13.0, 26.0])
+        np.testing.assert_array_equal(pol.act(2), [13.0, 26.0])
 
     def test_jacobian_matches_fd(self):
         pol = self.make()
@@ -62,9 +66,12 @@ class TestAffinePolicy:
             np.testing.assert_allclose(jac, fd, atol=1e-9)
 
     def test_blockdiag_stacks_jacobians(self):
+        # The unit entries of the block-diagonal Jacobian, one per row at most.
         pol = affine_policy(n_states=2, action_dims=(1, 2))
-        jbd = pol.jac_blockdiag(1)
-        assert jbd.shape == (pol.total_param_dim, 3)
+        rows, cols = pol.jac_index(1)
+        assert len(set(rows.tolist())) == len(rows)
+        jbd = np.zeros((pol.total_param_dim, 3))
+        jbd[rows, cols] = 1.0
         np.testing.assert_array_equal(jbd[: pol.param_dim(0), :1], pol.jac(0, 1))
         np.testing.assert_array_equal(jbd[pol.param_dim(0) :, 1:], pol.jac(1, 1))
         # Off-diagonal blocks vanish: no agent's parameters move another's action.
@@ -118,17 +125,16 @@ class TestParameterAccess:
 class TestGaussianNoise:
     def test_zero_sigma_is_identity(self):
         noise = GaussianNoise(0.0)
-        acts = [np.array([1.0, 2.0]), np.array([3.0])]
+        acts = np.array([1.0, 2.0, 3.0])
         out = noise.perturb(acts, np.random.default_rng(0))
-        for a, b in zip(acts, out):
-            np.testing.assert_array_equal(a, b)
-            assert a is not b  # still a private copy
+        np.testing.assert_array_equal(out, acts)
+        assert out is not acts  # still a private copy
 
     def test_moments(self):
         noise = GaussianNoise(0.5)
         rng = np.random.default_rng(1)
         draws = np.array(
-            [noise.perturb([np.zeros(2)], rng)[0] for _ in range(20_000)]
+            [noise.perturb(np.zeros(2), rng) for _ in range(20_000)]
         )
         assert np.max(np.abs(draws.mean(axis=0))) < 0.02
         np.testing.assert_allclose(draws.std(axis=0), 0.5, atol=0.02)
@@ -138,13 +144,13 @@ class TestGaussianNoise:
         pol.theta[0] = np.array([3.0, -1.0])
         noise = GaussianNoise(0.01)
         out = noise.sample(pol, 0, np.random.default_rng(2))
-        np.testing.assert_allclose(out[0], [3.0, -1.0], atol=0.1)
+        np.testing.assert_allclose(out, [3.0, -1.0], atol=0.1)
 
     def test_reproducible_from_seeded_rng(self):
         noise = GaussianNoise(1.0)
-        a = noise.perturb([np.zeros(3)], np.random.default_rng(42))
-        b = noise.perturb([np.zeros(3)], np.random.default_rng(42))
-        np.testing.assert_array_equal(a[0], b[0])
+        a = noise.perturb(np.zeros(3), np.random.default_rng(42))
+        b = noise.perturb(np.zeros(3), np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
