@@ -79,12 +79,11 @@ class _PolicyJacobianFeatures(FeatureMap):
         self.dim = policy.total_param_dim + (1 if bias else 0)
         self._grad_cache = {}  # action gradients depend on (s, i) only
 
-    def _gather(self, s, actions, out) -> np.ndarray:
-        """Write the block-diagonal policy Jacobian times a (last axis) into ``out``, by gather."""
+    def _fill(self, s, actions, out) -> np.ndarray:
+        """Write the block-diagonal policy Jacobian times a (last axis) into ``out``."""
         if self.centered:
             actions = actions - self.policy.act(s)
-        rows, cols = self.policy.jac_index(s)
-        out[..., rows] = actions[..., cols]
+        self.policy.jac_apply(s, actions, out)
         if self.bias:
             out[..., -1] = 1.0
         return out
@@ -95,7 +94,7 @@ class _PolicyJacobianFeatures(FeatureMap):
             raise DimensionMismatch(
                 f"joint action has shape {actions.shape}, expected ({self._n_total},)"
             )
-        return self._gather(s, actions, np.zeros(self.dim))
+        return self._fill(s, actions, np.zeros(self.dim))
 
     def grad_action(self, s, actions, i) -> np.ndarray:
         pol = self.policy
@@ -118,7 +117,7 @@ class _PolicyJacobianFeatures(FeatureMap):
         # Column-major: a row-major copy with equal values makes the oracles'
         # BLAS products over it sum in another order, moving their last bits.
         out = np.zeros((len(flat_actions), self.dim), order="F")
-        return self._gather(s, flat_actions, out)
+        return self._fill(s, flat_actions, out)
 
 
 class CompatibleQFeatures(_PolicyJacobianFeatures):

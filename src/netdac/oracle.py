@@ -408,10 +408,9 @@ def stochastic_pg_estimate(
         rows = mdp.transition_row_batch(s, batch)
         adv = rbar - j_pi + rows @ v_pi - v_pi[s]
         # Score of the Gaussian policy: d log pi / d theta = J_mu(s) eps / sigma^2,
-        # with the block-diagonal policy Jacobian J_mu(s) applied as a gather.
-        jrows, jcols = policy.jac_index(s)
+        # one column per sample (filled through its transpose).
         scores = np.zeros((total_p, m))
-        scores[jrows] = e[:, jcols].T / sigma**2
+        policy.jac_apply(s, e / sigma**2, scores.T)
         contrib = scores * adv[None, :]
         acc += contrib.sum(axis=1)
         acc_sq += (contrib**2).sum(axis=1)

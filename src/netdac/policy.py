@@ -102,6 +102,7 @@ class PolicySet:
     def act(self, s: int) -> np.ndarray:
         """Joint action mu(s) = (mu^1(s), ..., mu^N(s)), one flat vector."""
         if self.form == "constant":
+            # The general path's bytes without a call and copy per agent.
             return np.concatenate(self.theta)
         return np.concatenate([self.act_agent(i, s) for i in range(self.agent_count)])
 
@@ -124,17 +125,17 @@ class PolicySet:
         self._jac_cache[key] = j
         return j
 
-    def jac_index(self, s: int) -> tuple:
-        """Unit entries ``(rows, cols)`` of the block-diagonal Jacobian d mu(s) / d theta.
+    def jac_apply(self, s: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write J(s) @ x over the last axis of ``x`` into ``out``, J(s) = d mu(s) / d theta.
 
-        The Jacobian has shape (total_param_dim, sum(action_dims)); block i
-        maps agent i's action coordinates to its parameter coordinates.
-        Every entry is 0 or 1 and every parameter row holds at most one 1,
-        so ``J @ x`` is the gather ``out[rows] = x[cols]``.
+        J(s) is block diagonal with 0/1 entries and at most one 1 per parameter
+        row, so it is applied as the gather ``out[..., rows] = x[..., cols]``
+        over its cached unit entries; ``out`` must be zero in the parameter
+        coordinates.
         """
         key = ("index", s if self.form == "affine" else 0)
-        cached = self._jac_cache.get(key)
-        if cached is None:
+        index = self._jac_cache.get(key)
+        if index is None:
             rows, cols = [], []
             p0 = a0 = 0
             for i in range(self.agent_count):
@@ -143,11 +144,13 @@ class PolicySet:
                 cols.append(c + a0)
                 p0 += self.param_dim(i)
                 a0 += self.action_dims[i]
-            cached = (np.concatenate(rows), np.concatenate(cols))
-            for index in cached:
-                index.flags.writeable = False
-            self._jac_cache[key] = cached
-        return cached
+            index = (np.concatenate(rows), np.concatenate(cols))
+            for a in index:
+                a.flags.writeable = False
+            self._jac_cache[key] = index
+        rows, cols = index
+        out[..., rows] = x[..., cols]
+        return out
 
     # -- parameter access ---------------------------------------------------
 

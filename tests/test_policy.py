@@ -66,12 +66,12 @@ class TestAffinePolicy:
             np.testing.assert_allclose(jac, fd, atol=1e-9)
 
     def test_blockdiag_stacks_jacobians(self):
-        # The unit entries of the block-diagonal Jacobian, one per row at most.
+        # The block-diagonal Jacobian, recovered by applying it to unit actions.
         pol = affine_policy(n_states=2, action_dims=(1, 2))
-        rows, cols = pol.jac_index(1)
-        assert len(set(rows.tolist())) == len(rows)
-        jbd = np.zeros((pol.total_param_dim, 3))
-        jbd[rows, cols] = 1.0
+        jbd = pol.jac_apply(1, np.eye(3), np.zeros((3, pol.total_param_dim))).T
+        # Every entry is 0 or 1, with at most one 1 per parameter row.
+        assert set(np.unique(jbd).tolist()) <= {0.0, 1.0}
+        assert (jbd.sum(axis=1) <= 1).all()
         np.testing.assert_array_equal(jbd[: pol.param_dim(0), :1], pol.jac(0, 1))
         np.testing.assert_array_equal(jbd[pol.param_dim(0) :, 1:], pol.jac(1, 1))
         # Off-diagonal blocks vanish: no agent's parameters move another's action.

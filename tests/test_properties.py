@@ -2,6 +2,10 @@
 with different action dimensions, constant and affine policies."""
 
 import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
