@@ -11,7 +11,9 @@ most easily changes:
   scalar actions in order);
 * uncentered features without bias, the polynomial schedule, rollout
   evaluation, last-sample actor gradients, warm-started critics, path,
-  star and edgeless graphs, and batches of one step.
+  star and edgeless graphs, and batches of one step;
+* a projection box of +-0.05 that binds (the default box never does) and
+  a single-agent run.
 
 Each field must equal the value in ``golden_rows.json`` exactly (JSON floats
 round-trip through ``repr``), so a change of one bit anywhere fails here.
@@ -140,6 +142,15 @@ CELLS.update(
         ),
         "b1-alg2-bandit-fourier-online": base_config(
             "alg2", "bandit", "fourier", "online", batch_size=1, batches=5
+        ),
+        "box-alg1-bandit-compatible-batch": base_config(
+            "alg1", "bandit", "compatible", "batch", proj_lo=-0.05, proj_hi=0.05
+        ),
+        "box-alg2-finite-mdp-fourier-online": base_config(
+            "alg2", "finite-mdp", "fourier", "online", proj_lo=-0.05, proj_hi=0.05, **_LONG
+        ),
+        "n1-alg1-finite-mdp-compatible-online": base_config(
+            "alg1", "finite-mdp", "compatible", "online", agents=1
         ),
     }
 )
