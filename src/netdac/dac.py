@@ -189,22 +189,23 @@ def init_train_state(
 
 
 def _actor_direction(
-    policy: PolicySet, features: FeatureMap, critic: np.ndarray, s: int, actions, i: int
+    policy: PolicySet, features: FeatureMap, critic: np.ndarray, s: int, actions
 ) -> np.ndarray:
-    """dmu^i/dtheta^i (s) @ dfhat/da^i (s, a) for agent i's critic weights."""
-    gq = features.grad_action(s, actions, i) @ critic[i]
-    return policy.jac(i, s) @ gq
+    """dmu/dparams (s) @ dfhat/da (s, a), agent i's block under agent i's critic w^i."""
+    gq = np.concatenate(
+        [features.grad_action(s, actions, i) @ critic[i] for i in range(policy.agent_count)]
+    )
+    return policy.jac_apply(s, gq, np.zeros(policy.total_param_dim))
 
 
-def _actor_step(state: TrainState, dirs, beta_th: float) -> float:
-    """theta^i <- proj[theta^i + beta_th g^i] in agent order; returns |(g^1, ..., g^N)|."""
+def _actor_step(state: TrainState, g: np.ndarray, beta_th: float) -> float:
+    """params <- proj[params + beta_th g]; returns |g|, summed agent by agent."""
     policy = state.policy
-    norm_sq = 0.0
-    for i, g in enumerate(dirs):
-        policy.theta[i] = project_box(policy.theta[i] + beta_th * g, policy.lo, policy.hi)
-        norm_sq += float(g @ g)
+    policy.params[:] = project_box(policy.params + beta_th * g, policy.lo, policy.hi)
     state.phi = None
-    return float(np.sqrt(norm_sq))
+    # Agent norms added in agent order: one flat dot over g sums differently.
+    blocks = np.split(g, np.cumsum(policy.param_dims)[:-1])
+    return float(np.sqrt(sum(float(gi @ gi) for gi in blocks)))
 
 
 def _log_comm(state: TrainState, features: FeatureMap, directed_edges: int) -> None:
@@ -247,11 +248,8 @@ def alg1_step(
 
     grad_norm = 0.0
     if update_actor:
-        dirs = [
-            _actor_direction(policy, features, w, s, acts, i)
-            for i in range(mdp.agent_count)
-        ]
-        grad_norm = _actor_step(state, dirs, beta_th)
+        g = _actor_direction(policy, features, w, s, acts)
+        grad_norm = _actor_step(state, g, beta_th)
 
     c = process.sample_weights()
     state.critic = c @ w_tilde
@@ -292,12 +290,8 @@ def alg2_step(
     grad_norm = 0.0
     if update_actor:
         # The actor gradient is taken at the on-policy action mu_theta(s_t).
-        mu_acts = policy.act(s)
-        dirs = [
-            _actor_direction(policy, features, lam, s, mu_acts, i)
-            for i in range(mdp.agent_count)
-        ]
-        grad_norm = _actor_step(state, dirs, beta_th)
+        g = _actor_direction(policy, features, lam, s, policy.act(s))
+        grad_norm = _actor_step(state, g, beta_th)
 
     c = process.sample_weights()
     state.critic = c @ lam_tilde
@@ -411,25 +405,18 @@ def _batch_actor_update(
     policy = state.policy
     if config.actor_grad == "last-sample":
         samples = samples[-1:]
-    n = policy.agent_count
-    grads = [np.zeros(policy.param_dim(i)) for i in range(n)]
+    g = np.zeros(policy.total_param_dim)
     # The per-sample direction depends only on the sample's state whenever the
     # critic's action-gradient does (alg2 always evaluates at mu_theta(s)), so
     # identical states share one evaluation.
     if state.algorithm == "alg2" or features.action_independent_grad:
         counts = Counter(s for s, _ in samples)
         for s, count in counts.items():
-            acts_eval = policy.act(s)
-            for i in range(n):
-                grads[i] += count * _actor_direction(
-                    policy, features, state.critic, s, acts_eval, i
-                )
+            g += count * _actor_direction(policy, features, state.critic, s, policy.act(s))
     else:
         for s, acts in samples:
-            for i in range(n):
-                grads[i] += _actor_direction(policy, features, state.critic, s, acts, i)
-    grads = [g / len(samples) for g in grads]
-    grad_norm = _actor_step(state, grads, schedule.beta_actor(batch_index))
+            g += _actor_direction(policy, features, state.critic, s, acts)
+    grad_norm = _actor_step(state, g / len(samples), schedule.beta_actor(batch_index))
     state.check_finite()
     return grad_norm
 

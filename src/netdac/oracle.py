@@ -123,19 +123,17 @@ def exact_q_grad_action(
 def exact_policy_gradient(mdp: NetworkedMdp, policy: PolicySet) -> np.ndarray:
     """Gradient of the long-run average reward in all agents' parameters.
 
-    Returns the concatenation over agents of
-    sum_s d(s) * dmu^i/dtheta^i (s) @ dQ(s, .)/da^i |_{a = mu(s)}.
+    Returns sum_s d(s) * dmu/dparams (s) @ dQ(s, .)/da |_{a = mu(s)}, the
+    agents' blocks in the order of ``policy.params``.
     """
     ev = exact_eval(mdp, policy)
-    parts = []
-    for i in range(mdp.agent_count):
-        acc = np.zeros(policy.param_dim(i))
-        for s in range(mdp.state_count):
-            acc += ev.stationary[s] * (
-                policy.jac(i, s) @ exact_q_grad_action(mdp, policy, ev, s, i)
-            )
-        parts.append(acc)
-    return np.concatenate(parts)
+    grad = np.zeros(policy.total_param_dim)
+    for s in range(mdp.state_count):
+        q = np.concatenate(
+            [exact_q_grad_action(mdp, policy, ev, s, i) for i in range(mdp.agent_count)]
+        )
+        grad += ev.stationary[s] * policy.jac_apply(s, q, np.zeros(policy.total_param_dim))
+    return grad
 
 
 # ---------------------------------------------------------------------------

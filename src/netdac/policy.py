@@ -11,6 +11,9 @@ provided:
 
 Both are linear in theta, so the parameter-Jacobian d mu^i / d theta^i is
 exact and state-dependent but action-independent.
+
+A :class:`PolicySet` stores theta^1, ..., theta^N as one flat vector
+``params``; ``theta[i]`` is a view of agent i's block.
 """
 
 from dataclasses import dataclass, field
@@ -18,14 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import project_box
 
 __all__ = ["PolicySet", "GaussianNoise", "constant_policy", "affine_policy"]
 
 
 @dataclass
 class PolicySet:
-    """Collection of per-agent deterministic policies with box-bounded parameters.
+    """Per-agent deterministic policies over one flat, box-bounded parameter vector.
+
+    Writing into a view (``theta[i][:] = x``) moves the policy; ``theta`` is
+    a tuple, so rebinding an entry raises.  Each action coordinate reads one
+    parameter (two in the affine form) at a static index, so ``act`` is one
+    gather and ``jac_apply`` one scatter.
 
     Parameters
     ----------
@@ -35,18 +42,19 @@ class PolicySet:
         Per-agent action dimensions.
     n_states : int
         Number of states the policies condition on (ignored by "constant").
-    theta : list of 1-D arrays
-        Per-agent parameter vectors.
+    theta : sequence of 1-D arrays
+        Per-agent initial parameter vectors (copied into ``params``).
     lo, hi : float
-        Box bounds applied by :meth:`project`.
+        Box bounds the actor projects ``params`` into.
     """
 
     form: str
     action_dims: tuple
     n_states: int
-    theta: list
+    theta: tuple
     lo: float = -1e3
     hi: float = 1e3
+    params: np.ndarray = field(init=False, repr=False, compare=False)
     # Jacobians depend only on (form, dims, state), never on theta, so they
     # are memoized; cached arrays are read-only.
     _jac_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -57,10 +65,10 @@ class PolicySet:
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
         self.action_dims = tuple(int(d) for d in self.action_dims)
-        self.theta = [np.asarray(t, dtype=float).ravel().copy() for t in self.theta]
-        if len(self.theta) != len(self.action_dims):
+        theta = [np.asarray(t, dtype=float).ravel() for t in self.theta]
+        if len(theta) != len(self.action_dims):
             raise DimensionMismatch("one parameter vector per agent required")
-        for i, t in enumerate(self.theta):
+        for i, t in enumerate(theta):
             want = self.param_dim(i)
             if t.shape != (want,):
                 raise DimensionMismatch(
@@ -68,6 +76,21 @@ class PolicySet:
                 )
         if self.lo > self.hi:
             raise ValueError("projection box is empty")
+        self.params = np.concatenate(theta)
+        p0 = np.cumsum((0,) + self.param_dims)
+        a0 = np.cumsum((0,) + self.action_dims)
+        self.theta = tuple(np.split(self.params, p0[1:-1]))
+        self._agent_actions = tuple(map(slice, a0[:-1], a0[1:]))
+        # Action coordinate k, agent i's coordinate p, reads theta^i_p, or
+        # W^i[p, s] at _w0[k] + s and b^i_p at _b[k] in the affine form.
+        agent = np.repeat(np.arange(len(theta)), self.action_dims)
+        p = np.arange(a0[-1]) - a0[agent]
+        if self.form == "constant":
+            self._w0, self._b = p0[agent] + p, None
+        else:
+            n = a0[agent + 1] - a0[agent]
+            self._w0 = p0[agent] + p * self.n_states
+            self._b = p0[agent] + n * self.n_states + p
 
     # -- dimensions ---------------------------------------------------------
 
@@ -85,30 +108,32 @@ class PolicySet:
 
     @property
     def total_param_dim(self) -> int:
-        return sum(self.param_dims)
+        return self.params.size
 
     # -- evaluation ---------------------------------------------------------
 
-    def act_agent(self, i: int, s: int) -> np.ndarray:
-        """mu^i(s), shape (n_i,)."""
-        t = self.theta[i]
-        n = self.action_dims[i]
+    def _state(self, s: int) -> int:
+        """The state offset into the index table: s (range-checked) or 0 for "constant"."""
         if self.form == "constant":
-            return t.copy()
-        w = t[: n * self.n_states].reshape(n, self.n_states)
-        b = t[n * self.n_states :]
-        return w[:, s] + b
+            return 0
+        if not 0 <= s < self.n_states:
+            raise IndexError(f"state {s} out of range for a policy over {self.n_states} states")
+        return s
 
     def act(self, s: int) -> np.ndarray:
-        """Joint action mu(s) = (mu^1(s), ..., mu^N(s)), one flat vector."""
-        if self.form == "constant":
-            # The general path's bytes without a call and copy per agent.
-            return np.concatenate(self.theta)
-        return np.concatenate([self.act_agent(i, s) for i in range(self.agent_count)])
+        """Joint action mu(s) = (mu^1(s), ..., mu^N(s)), one fresh flat vector."""
+        a = self.params[self._w0 + self._state(s)]
+        if self._b is not None:
+            a += self.params[self._b]
+        return a
+
+    def act_agent(self, i: int, s: int) -> np.ndarray:
+        """mu^i(s), shape (n_i,)."""
+        return self.act(s)[self._agent_actions[i]]
 
     def jac(self, i: int, s: int) -> np.ndarray:
         """d mu^i(s) / d theta^i, shape (param_dim(i), n_i), read-only."""
-        key = (i, s if self.form == "affine" else 0)
+        key = (i, self._state(s))
         cached = self._jac_cache.get(key)
         if cached is not None:
             return cached
@@ -126,36 +151,21 @@ class PolicySet:
         return j
 
     def jac_apply(self, s: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write J(s) @ x over the last axis of ``x`` into ``out``, J(s) = d mu(s) / d theta.
+        """Write J(s) @ x over the last axis of ``x`` into ``out``, J(s) = d mu(s) / d params.
 
-        J(s) is block diagonal with 0/1 entries and at most one 1 per parameter
-        row, so it is applied as the gather ``out[..., rows] = x[..., cols]``
-        over its cached unit entries; ``out`` must be zero in the parameter
-        coordinates.
+        J(s) has one 1 per action coordinate (two in the affine form, at W and
+        b) and zeros elsewhere, so it is applied as a scatter through the
+        index table; ``out`` must be zero in the parameter coordinates.
         """
-        key = ("index", s if self.form == "affine" else 0)
-        index = self._jac_cache.get(key)
-        if index is None:
-            rows, cols = [], []
-            p0 = a0 = 0
-            for i in range(self.agent_count):
-                r, c = np.nonzero(self.jac(i, s))
-                rows.append(r + p0)
-                cols.append(c + a0)
-                p0 += self.param_dim(i)
-                a0 += self.action_dims[i]
-            index = (np.concatenate(rows), np.concatenate(cols))
-            for a in index:
-                a.flags.writeable = False
-            self._jac_cache[key] = index
-        rows, cols = index
-        out[..., rows] = x[..., cols]
+        out[..., self._w0 + self._state(s)] = x
+        if self._b is not None:
+            out[..., self._b] = x
         return out
 
     # -- parameter access ---------------------------------------------------
 
     def theta_flat(self) -> np.ndarray:
-        return np.concatenate(self.theta)
+        return self.params.copy()
 
     def set_theta_flat(self, flat) -> None:
         flat = np.asarray(flat, dtype=float).ravel()
@@ -163,23 +173,14 @@ class PolicySet:
             raise DimensionMismatch(
                 f"flat parameters have {flat.size} entries, expected {self.total_param_dim}"
             )
-        k = 0
-        for i in range(self.agent_count):
-            m = self.param_dim(i)
-            self.theta[i] = flat[k : k + m].copy()
-            k += m
-
-    def project(self) -> None:
-        """Clamp every agent's parameters into [lo, hi] in place."""
-        for i in range(self.agent_count):
-            self.theta[i] = project_box(self.theta[i], self.lo, self.hi)
+        self.params[:] = flat
 
     def copy(self) -> "PolicySet":
         return PolicySet(
             form=self.form,
             action_dims=self.action_dims,
             n_states=self.n_states,
-            theta=[t.copy() for t in self.theta],
+            theta=self.theta,
             lo=self.lo,
             hi=self.hi,
         )

@@ -43,8 +43,8 @@ class TestCompatibleQFeatures:
 
     def test_centered_vanishes_at_policy_action(self):
         pol = constant_policy((2, 2))
-        pol.theta[0] = np.array([1.0, -1.0])
-        pol.theta[1] = np.array([0.5, 0.5])
+        pol.theta[0][:] = np.array([1.0, -1.0])
+        pol.theta[1][:] = np.array([0.5, 0.5])
         feats = CompatibleQFeatures(pol, centered=True, bias=True)
         phi = feats.eval(0, pol.act(0))
         np.testing.assert_array_equal(phi[:-1], np.zeros(4))
@@ -103,7 +103,7 @@ class TestCompatibleQFeatures:
         # Centering shifts values, never action gradients.
         rng = np.random.default_rng(3)
         pol = constant_policy((2,))
-        pol.theta[0] = np.array([0.7, -0.2])
+        pol.theta[0][:] = np.array([0.7, -0.2])
         w = rng.standard_normal(2)
         plain = CompatibleQFeatures(pol, centered=False, bias=False)
         cent = CompatibleQFeatures(pol, centered=True, bias=False)
@@ -129,7 +129,7 @@ class TestCompatibleQFeatures:
 class TestCompatibleRFeatures:
     def test_always_centered(self):
         pol = constant_policy((3,))
-        pol.theta[0] = np.array([1.0, 2.0, 3.0])
+        pol.theta[0][:] = np.array([1.0, 2.0, 3.0])
         feats = CompatibleRFeatures(pol, bias=False)
         np.testing.assert_array_equal(feats.eval(0, pol.act(0)), np.zeros(3))
         np.testing.assert_array_equal(

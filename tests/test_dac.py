@@ -27,7 +27,7 @@ def _unit_bandit(theta=1.0):
     """One agent, scalar action, r(a) = -a^2, policy mu = theta."""
     env = ContinuousBandit(1, 1, np.array([[1.0]]), np.array([0.0]))
     pol = constant_policy(env.action_dims)
-    pol.theta[0] = np.array([float(theta)])
+    pol.theta[0][:] = np.array([float(theta)])
     return env, pol
 
 
@@ -155,8 +155,8 @@ class TestAlg1Step:
         # noise-free trajectory, so nothing moves.
         env = make_bandit(2, 2, seed=1)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = env.target / 2.0
-        pol.theta[1] = env.target / 2.0
+        pol.theta[0][:] = env.target / 2.0
+        pol.theta[1][:] = env.target / 2.0
         feats = CompatibleQFeatures(pol, centered=True, bias=True)
         proc = GraphProcess(complete_graph(2))
         sch = Schedule("constant", 0.1, 0.01)
@@ -250,8 +250,8 @@ class TestEvaluatePolicyCost:
     def test_bandit_exact(self):
         env = make_bandit(2, 2, seed=6)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([1.0, 2.0])
-        pol.theta[1] = np.array([0.5, -0.5])
+        pol.theta[0][:] = np.array([1.0, 2.0])
+        pol.theta[1][:] = np.array([0.5, -0.5])
         dev = pol.theta[0] + pol.theta[1] - env.target
         want = float(dev @ env.cost @ dev)
         assert evaluate_policy_cost(env, pol) == pytest.approx(want, abs=1e-12)

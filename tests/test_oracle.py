@@ -44,8 +44,8 @@ class TestExactEval:
     def test_single_state(self):
         env = make_bandit(2, 2, seed=0)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([1.0, 0.0])
-        pol.theta[1] = np.array([0.0, 1.0])
+        pol.theta[0][:] = np.array([1.0, 0.0])
+        pol.theta[1][:] = np.array([0.0, 1.0])
         ev = exact_eval(env, pol)
         np.testing.assert_array_equal(ev.kernel, [[1.0]])
         np.testing.assert_array_equal(ev.stationary, [1.0])
@@ -223,8 +223,8 @@ class TestOffPolicyFixedPoint:
         # -(sum theta - target)' C (sum theta - target) - N sigma^2 tr(C).
         env = make_bandit(2, 1, seed=3)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([1.0])
-        pol.theta[1] = np.array([0.5])
+        pol.theta[0][:] = np.array([1.0])
+        pol.theta[1][:] = np.array([0.5])
         sigma = 0.3
         feats = TabularFeatures(1, env.action_dims)
         fp = offpolicy_fixed_point(env, pol, sigma, feats)
@@ -241,8 +241,8 @@ class TestOffPolicyFixedPoint:
         c = float(env.cost[0, 0])
         t = float(env.target[0])
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([2.0])
-        pol.theta[1] = np.array([-1.0])
+        pol.theta[0][:] = np.array([2.0])
+        pol.theta[1][:] = np.array([-1.0])
         x = 2.0 - 1.0 - t
         sigma = 0.2
         feats = CompatibleRFeatures(pol, bias=True)
@@ -253,8 +253,8 @@ class TestOffPolicyFixedPoint:
     def test_matches_monte_carlo(self):
         env = make_bandit(2, 1, seed=7)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([1.5])
-        pol.theta[1] = np.array([0.0])
+        pol.theta[0][:] = np.array([1.5])
+        pol.theta[1][:] = np.array([0.0])
         sigma = 0.25
         feats = CompatibleRFeatures(pol, bias=True)
         fp = offpolicy_fixed_point(env, pol, sigma, feats)
@@ -273,8 +273,8 @@ class TestOffPolicyFixedPoint:
         # Gauss-Hermite branch on a smooth instance.
         env = make_bandit(2, 1, seed=9)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([0.7])
-        pol.theta[1] = np.array([0.7])
+        pol.theta[0][:] = np.array([0.7])
+        pol.theta[1][:] = np.array([0.7])
         feats = CompatibleRFeatures(pol, bias=True)
         gh = offpolicy_fixed_point(env, pol, 0.15, feats)
         mc = offpolicy_fixed_point(
@@ -327,8 +327,8 @@ class TestStochasticGradient:
         # every sigma; deviations are pure Monte-Carlo noise.
         env = make_bandit(2, 1, seed=4)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([1.0])
-        pol.theta[1] = np.array([2.0])
+        pol.theta[0][:] = np.array([1.0])
+        pol.theta[1][:] = np.array([2.0])
         det = exact_policy_gradient(env, pol)
         est = stochastic_pg_estimate(env, pol, 0.2, 40_000, np.random.default_rng(14))
         assert est.samples == 40_000
@@ -337,8 +337,8 @@ class TestStochasticGradient:
     def test_stderr_shrinks_with_samples(self):
         env = make_bandit(2, 1, seed=4)
         pol = constant_policy(env.action_dims)
-        pol.theta[0] = np.array([0.0])
-        pol.theta[1] = np.array([0.0])
+        pol.theta[0][:] = np.array([0.0])
+        pol.theta[1][:] = np.array([0.0])
         small = stochastic_pg_estimate(env, pol, 0.3, 2_000, np.random.default_rng(1))
         big = stochastic_pg_estimate(env, pol, 0.3, 32_000, np.random.default_rng(1))
         # Four times the samples halves the standard error (sixteen: quarter).

@@ -10,8 +10,8 @@ from netdac.policy import GaussianNoise, PolicySet, affine_policy, constant_poli
 class TestConstantPolicy:
     def test_action_is_parameter(self):
         pol = constant_policy((2, 3))
-        pol.theta[0] = np.array([1.0, -1.0])
-        pol.theta[1] = np.array([0.5, 0.0, 2.0])
+        pol.theta[0][:] = np.array([1.0, -1.0])
+        pol.theta[1][:] = np.array([0.5, 0.0, 2.0])
         np.testing.assert_array_equal(pol.act_agent(0, 0), [1.0, -1.0])
         np.testing.assert_array_equal(pol.act_agent(1, 0), [0.5, 0.0, 2.0])
         # The joint action is one flat vector, agents in order.
@@ -35,7 +35,7 @@ class TestAffinePolicy:
     def make(self):
         pol = affine_policy(n_states=3, action_dims=(2,))
         # theta = (vec of W rows, then intercept b); W is 2 x 3.
-        pol.theta[0] = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 10.0, 20.0])
+        pol.theta[0][:] = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 10.0, 20.0])
         return pol
 
     def test_action_values(self):
@@ -77,6 +77,21 @@ class TestAffinePolicy:
         # Off-diagonal blocks vanish: no agent's parameters move another's action.
         np.testing.assert_array_equal(jbd[: pol.param_dim(0), 1:], 0.0)
 
+    def test_out_of_range_state_rejected(self):
+        pol = self.make()
+        zeros = np.zeros(pol.total_param_dim)
+        for s in (-1, 3):
+            with pytest.raises(IndexError, match=f"state {s} out of range"):
+                pol.act(s)
+            with pytest.raises(IndexError, match=f"state {s} out of range"):
+                pol.jac(0, s)
+            with pytest.raises(IndexError, match=f"state {s} out of range"):
+                pol.jac_apply(s, np.ones(2), zeros)
+        np.testing.assert_array_equal(zeros, 0.0)
+        # The constant form ignores the state.
+        const = constant_policy((2,))
+        np.testing.assert_array_equal(const.act(5), const.act(0))
+
     def test_jacobian_read_only_and_cached(self):
         pol = self.make()
         j = pol.jac(0, 1)
@@ -104,12 +119,6 @@ class TestParameterAccess:
         dup = pol.copy()
         dup.theta[0][:] = -1.0
         np.testing.assert_array_equal(pol.theta[0], [7.0, 7.0])
-
-    def test_project_clamps(self):
-        pol = constant_policy((2,), lo=-1.0, hi=1.0)
-        pol.theta[0] = np.array([5.0, -5.0])
-        pol.project()
-        np.testing.assert_array_equal(pol.theta[0], [1.0, -1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,7 +150,7 @@ class TestGaussianNoise:
 
     def test_sample_centers_on_policy(self):
         pol = constant_policy((2,))
-        pol.theta[0] = np.array([3.0, -1.0])
+        pol.theta[0][:] = np.array([3.0, -1.0])
         noise = GaussianNoise(0.01)
         out = noise.sample(pol, 0, np.random.default_rng(2))
         np.testing.assert_allclose(out, [3.0, -1.0], atol=0.1)

@@ -1,5 +1,6 @@
-"""Property tests for the flat joint action at its edges: one agent, agents
-with different action dimensions, constant and affine policies."""
+"""Property tests for the flat joint action and the flat parameter vector at
+their edges: one agent, agents with different action dimensions, constant
+and affine policies."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdac.approx import CompatibleQFeatures
+from netdac.approx import CompatibleQFeatures, FourierFeatures
+from netdac.dac import _actor_direction
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -38,12 +40,82 @@ def _blockdiag(pol, s):
     return out
 
 
+def _act_agent_reference(pol, i, s):
+    """mu^i(s) computed from theta^i alone: theta^i, or W^i[:, s] + b^i."""
+    t, n = pol.theta[i], pol.action_dims[i]
+    if pol.form == "constant":
+        return t.copy()
+    return t[: n * pol.n_states].reshape(n, pol.n_states)[:, s] + t[n * pol.n_states :]
+
+
 @_SETTINGS
 @given(policy_cases())
 def test_act_concatenates_agents_in_order(case):
     pol, s, _ = case
-    want = np.concatenate([pol.act_agent(i, s) for i in range(pol.agent_count)])
+    want = np.concatenate([_act_agent_reference(pol, i, s) for i in range(pol.agent_count)])
     assert pol.act(s).tobytes() == want.tobytes()
+    for i in range(pol.agent_count):
+        assert pol.act_agent(i, s).tobytes() == _act_agent_reference(pol, i, s).tobytes()
+
+
+@_SETTINGS
+@given(policy_cases())
+def test_theta_views_stay_live(case):
+    pol, s, rng = case
+    for i in range(pol.agent_count):
+        assert np.shares_memory(pol.theta[i], pol.params)
+        pol.theta[i][:] = rng.standard_normal(pol.param_dim(i))
+    assert pol.params.tobytes() == np.concatenate(pol.theta).tobytes()
+    want = np.concatenate([_act_agent_reference(pol, i, s) for i in range(pol.agent_count)])
+    assert pol.act(s).tobytes() == want.tobytes()
+    views = pol.theta
+    flat = rng.standard_normal(pol.total_param_dim)
+    pol.set_theta_flat(flat)
+    assert all(a is b for a, b in zip(pol.theta, views))
+    assert np.concatenate(views).tobytes() == flat.tobytes()
+    got = pol.theta_flat()
+    got[:] = 0.0  # a copy, not the parameters themselves
+    assert pol.params.tobytes() == flat.tobytes()
+
+
+@_SETTINGS
+@given(policy_cases())
+def test_theta_entries_cannot_be_rebound(case):
+    pol, _, _ = case
+    with pytest.raises(TypeError):
+        pol.theta[0] = np.zeros(pol.param_dim(0))
+
+
+@_SETTINGS
+@given(policy_cases())
+def test_copy_is_independent(case):
+    pol, s, rng = case
+    dup = pol.copy()
+    assert dup.params.tobytes() == pol.params.tobytes()
+    assert not np.shares_memory(dup.params, pol.params)
+    before = pol.act(s)
+    dup.set_theta_flat(rng.standard_normal(pol.total_param_dim))
+    dup.theta[0][:] = 1.0
+    assert pol.act(s).tobytes() == before.tobytes()
+
+
+@_SETTINGS
+@given(policy_cases(), st.sampled_from(["compatible", "fourier"]))
+def test_flat_actor_direction_is_per_agent_jacobian_product(case, family):
+    pol, s, rng = case
+    if family == "compatible":
+        feats = CompatibleQFeatures(pol, centered=True, bias=True)
+    else:
+        feats = FourierFeatures(pol.n_states, pol.action_dims, 16, seed=1)
+    critic = rng.standard_normal((pol.agent_count, feats.dim))
+    a = rng.standard_normal(sum(pol.action_dims))
+    want = np.concatenate(
+        [
+            pol.jac(i, s) @ (feats.grad_action(s, a, i) @ critic[i])
+            for i in range(pol.agent_count)
+        ]
+    )
+    assert _actor_direction(pol, feats, critic, s, a).tobytes() == want.tobytes()
 
 
 @_SETTINGS
