@@ -1,12 +1,13 @@
 """Feature maps for linear critics.
 
 A critic is linear in its weights, ``f(s, a) = phi(s, a) . w``; its value is
-``features.eval(s, a) @ w`` and its action-gradient for agent i is
-``features.grad_action(s, a, i) @ w``.  Feature maps expose the features on
-one joint action (a flat vector, agent i at a static offset; see
-:mod:`netdac.env`), on a ``(T, n_total)`` batch of joint actions (for the
-oracles), and the Jacobian of the features with respect to each agent's
-action, which the actor update needs.
+``features.eval(s, a) @ w``.  Feature maps expose the features on one joint
+action (a flat vector, agent i at a static offset; see :mod:`netdac.env`), on
+a ``(T, n_total)`` batch of joint actions (for the oracles), and the joint
+critic action-gradient the actor update needs: for per-agent weights
+``critic`` (one row per agent), ``features.grad_action(s, a, critic)`` is the
+flat vector whose agent-i block is ``d (phi(s, a) . critic[i]) / d a^i``,
+each agent differentiating its own critic in its own action.
 
 Feature families
 ----------------
@@ -41,12 +42,12 @@ __all__ = [
 
 
 class FeatureMap(abc.ABC):
-    """Feature vector phi(s, a) with per-agent action Jacobians."""
+    """Feature vector phi(s, a) with the joint per-agent critic action-gradient."""
 
     dim: int
-    #: True when computing the features requires agents to exchange their
-    #: local policy Jacobians over the network each step.
-    exchanges_jacobians: bool = False
+    #: Scalars the agents send over the network each step to compute the
+    #: features: their local policy Jacobians, or none.
+    jacobian_scalars: int = 0
     #: True when d phi / d a^i depends only on the state, never on the joint
     #: action (lets batched actor updates share one gradient per state).
     action_independent_grad: bool = False
@@ -56,8 +57,8 @@ class FeatureMap(abc.ABC):
         """phi(s, a), shape (dim,)."""
 
     @abc.abstractmethod
-    def grad_action(self, s: int, actions, i: int) -> np.ndarray:
-        """d phi / d a^i, shape (n_i, dim)."""
+    def grad_action(self, s: int, actions, critic: np.ndarray) -> np.ndarray:
+        """[d (phi(s, a) . critic[i]) / d a^i]_i for an (N, dim) ``critic``; flat (n_total,)."""
 
     @abc.abstractmethod
     def eval_batch(self, s: int, flat_actions: np.ndarray) -> np.ndarray:
@@ -67,17 +68,17 @@ class FeatureMap(abc.ABC):
 class _PolicyJacobianFeatures(FeatureMap):
     """Per-agent blocks jac(i, s) @ (a^i - center_i(s)), optionally plus a bias."""
 
-    exchanges_jacobians = True
     action_independent_grad = True  # phi is linear in the joint action
 
     def __init__(self, policy: PolicySet, centered: bool, bias: bool):
         self.policy = policy
         self.centered = centered
         self.bias = bias
-        self._block_starts = np.cumsum((0,) + policy.param_dims)
         self._n_total = sum(policy.action_dims)
         self.dim = policy.total_param_dim + (1 if bias else 0)
-        self._grad_cache = {}  # action gradients depend on (s, i) only
+        self.jacobian_scalars = sum(
+            p * n for p, n in zip(policy.param_dims, policy.action_dims)
+        )
 
     def _fill(self, s, actions, out) -> np.ndarray:
         """Write the block-diagonal policy Jacobian times a (last axis) into ``out``."""
@@ -96,19 +97,9 @@ class _PolicyJacobianFeatures(FeatureMap):
             )
         return self._fill(s, actions, np.zeros(self.dim))
 
-    def grad_action(self, s, actions, i) -> np.ndarray:
-        pol = self.policy
-        if not 0 <= i < pol.agent_count:
-            raise IndexError(f"agent index {i} out of range")
-        key = (s if pol.form == "affine" else 0, i)
-        g = self._grad_cache.get(key)
-        if g is None:
-            g = np.zeros((pol.action_dims[i], self.dim))
-            lo, hi = self._block_starts[i], self._block_starts[i + 1]
-            g[:, lo:hi] = pol.jac(i, s).T
-            g.flags.writeable = False
-            self._grad_cache[key] = g
-        return g
+    def grad_action(self, s, actions, critic) -> np.ndarray:
+        # d phi / d a^i is jac(i, s).T in agent i's block and zero elsewhere.
+        return self.policy.jac_gather(s, critic)
 
     def eval_batch(self, s, flat_actions) -> np.ndarray:
         flat_actions = np.asarray(flat_actions, dtype=float)
@@ -145,25 +136,24 @@ class FourierFeatures(FeatureMap):
     [-1, 1] and action gradients are bounded by the draw's weight scale.
     """
 
-    exchanges_jacobians = False
-
     def __init__(self, n_states: int, action_dims, dim: int, seed: int = 0, scale: float = 1.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.n_states = int(n_states)
         self.action_dims = tuple(int(d) for d in action_dims)
         self.dim = int(dim)
-        n_total = sum(self.action_dims)
+        self._n_total = sum(self.action_dims)
         rng = np.random.default_rng(seed)
-        self._w = scale * rng.standard_normal((self.dim, self.n_states + n_total))
+        self._w = scale * rng.standard_normal((self.dim, self.n_states + self._n_total))
         self._b = rng.uniform(0.0, 2.0 * np.pi, size=self.dim)
-        self._starts = np.cumsum((0,) + self.action_dims)
+        cols = self.n_states + np.cumsum((0,) + self.action_dims)
+        self._agent_cols = tuple(map(slice, cols[:-1], cols[1:]))
 
     def _input(self, s, actions) -> np.ndarray:
         if not 0 <= s < self.n_states:
             raise IndexError(f"state {s} out of range")
         actions = np.asarray(actions, dtype=float)
-        if actions.shape != (self._starts[-1],):
+        if actions.shape != (self._n_total,):
             raise DimensionMismatch("joint action has wrong total dimension")
         x = np.zeros(self.n_states + actions.size)
         x[s] = 1.0
@@ -173,19 +163,21 @@ class FourierFeatures(FeatureMap):
     def eval(self, s, actions) -> np.ndarray:
         return np.cos(self._w @ self._input(s, actions) + self._b)
 
-    def grad_action(self, s, actions, i) -> np.ndarray:
-        if not 0 <= i < len(self.action_dims):
-            raise IndexError(f"agent index {i} out of range")
+    def grad_action(self, s, actions, critic) -> np.ndarray:
         sin = np.sin(self._w @ self._input(s, actions) + self._b)
-        cols = slice(
-            self.n_states + self._starts[i], self.n_states + self._starts[i + 1]
+        # d cos(w.x + b)/d a^i_j = -sin(w.x + b) * w[:, col j].  One product
+        # per agent on this transposed layout: a joint product, or slices of
+        # one, sums in another order and moves the last bits.
+        return np.concatenate(
+            [
+                -(self._w[:, cols] * sin[:, None]).T @ row
+                for cols, row in zip(self._agent_cols, critic)
+            ]
         )
-        # d cos(w.x + b)/d a^i_j = -sin(w.x + b) * w[:, col j]
-        return -(self._w[:, cols] * sin[:, None]).T
 
     def eval_batch(self, s, flat_actions) -> np.ndarray:
         flat_actions = np.asarray(flat_actions, dtype=float)
-        if flat_actions.ndim != 2 or flat_actions.shape[1] != self._starts[-1]:
+        if flat_actions.ndim != 2 or flat_actions.shape[1] != self._n_total:
             raise DimensionMismatch("flat action batch has wrong width")
         if not 0 <= s < self.n_states:
             raise IndexError(f"state {s} out of range")
@@ -196,7 +188,6 @@ class FourierFeatures(FeatureMap):
 class TabularFeatures(FeatureMap):
     """One-hot state indicators; constant in the action."""
 
-    exchanges_jacobians = False
     action_independent_grad = True
 
     def __init__(self, n_states: int, action_dims):
@@ -213,8 +204,8 @@ class TabularFeatures(FeatureMap):
         out[s] = 1.0
         return out
 
-    def grad_action(self, s, actions, i) -> np.ndarray:
-        return np.zeros((self.action_dims[i], self.dim))
+    def grad_action(self, s, actions, critic) -> np.ndarray:
+        return np.zeros(sum(self.action_dims))
 
     def eval_batch(self, s, flat_actions) -> np.ndarray:
         if not 0 <= s < self.n_states:

@@ -192,9 +192,7 @@ def _actor_direction(
     policy: PolicySet, features: FeatureMap, critic: np.ndarray, s: int, actions
 ) -> np.ndarray:
     """dmu/dparams (s) @ dfhat/da (s, a), agent i's block under agent i's critic w^i."""
-    gq = np.concatenate(
-        [features.grad_action(s, actions, i) @ critic[i] for i in range(policy.agent_count)]
-    )
+    gq = features.grad_action(s, actions, critic)
     return policy.jac_apply(s, gq, np.zeros(policy.total_param_dim))
 
 
@@ -209,13 +207,7 @@ def _actor_step(state: TrainState, g: np.ndarray, beta_th: float) -> float:
 
 
 def _log_comm(state: TrainState, features: FeatureMap, directed_edges: int) -> None:
-    k = features.dim
-    state.comm_scalars += k * directed_edges
-    if features.exchanges_jacobians:
-        pol = state.policy
-        state.comm_scalars += sum(
-            pol.param_dim(i) * pol.action_dims[i] for i in range(pol.agent_count)
-        )
+    state.comm_scalars += features.dim * directed_edges + features.jacobian_scalars
 
 
 def alg1_step(

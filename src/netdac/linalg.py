@@ -98,14 +98,6 @@ def stationary_distribution(p) -> np.ndarray:
     return d / d.sum()
 
 
-def project_box(x, lo, hi) -> np.ndarray:
-    """Euclidean projection of ``x`` onto the box ``[lo, hi]`` (elementwise)."""
-    x = np.asarray(x, dtype=float)
-    try:
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
-    except ValueError as exc:
-        raise DimensionMismatch(f"bounds do not broadcast to shape {x.shape}") from exc
-    if np.any(lo > hi):
-        raise ValueError("box is empty: lo > hi somewhere")
-    return np.clip(x, lo, hi)
+def project_box(x, lo: float, hi: float) -> np.ndarray:
+    """Euclidean projection of ``x`` onto the box ``[lo, hi]^n`` (scalar bounds, lo <= hi)."""
+    return np.minimum(np.maximum(x, lo), hi)

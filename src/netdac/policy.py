@@ -32,7 +32,8 @@ class PolicySet:
     Writing into a view (``theta[i][:] = x``) moves the policy; ``theta`` is
     a tuple, so rebinding an entry raises.  Each action coordinate reads one
     parameter (two in the affine form) at a static index, so ``act`` is one
-    gather and ``jac_apply`` one scatter.
+    gather, ``jac_apply`` one scatter and ``jac_gather``, its transpose, one
+    gather.
 
     Parameters
     ----------
@@ -55,9 +56,6 @@ class PolicySet:
     lo: float = -1e3
     hi: float = 1e3
     params: np.ndarray = field(init=False, repr=False, compare=False)
-    # Jacobians depend only on (form, dims, state), never on theta, so they
-    # are memoized; cached arrays are read-only.
-    _jac_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.form not in ("constant", "affine"):
@@ -83,7 +81,7 @@ class PolicySet:
         self._agent_actions = tuple(map(slice, a0[:-1], a0[1:]))
         # Action coordinate k, agent i's coordinate p, reads theta^i_p, or
         # W^i[p, s] at _w0[k] + s and b^i_p at _b[k] in the affine form.
-        agent = np.repeat(np.arange(len(theta)), self.action_dims)
+        agent = self._agent = np.repeat(np.arange(len(theta)), self.action_dims)
         p = np.arange(a0[-1]) - a0[agent]
         if self.form == "constant":
             self._w0, self._b = p0[agent] + p, None
@@ -132,11 +130,8 @@ class PolicySet:
         return self.act(s)[self._agent_actions[i]]
 
     def jac(self, i: int, s: int) -> np.ndarray:
-        """d mu^i(s) / d theta^i, shape (param_dim(i), n_i), read-only."""
-        key = (i, self._state(s))
-        cached = self._jac_cache.get(key)
-        if cached is not None:
-            return cached
+        """d mu^i(s) / d theta^i, shape (param_dim(i), n_i), dense: the reference for checks."""
+        s = self._state(s)
         n = self.action_dims[i]
         m = self.param_dim(i)
         j = np.zeros((m, n))
@@ -146,8 +141,6 @@ class PolicySet:
             for p in range(n):
                 j[p * self.n_states + s, p] = 1.0  # state-s column of W^i
                 j[n * self.n_states + p, p] = 1.0  # intercept
-        j.flags.writeable = False
-        self._jac_cache[key] = j
         return j
 
     def jac_apply(self, s: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -161,6 +154,18 @@ class PolicySet:
         if self._b is not None:
             out[..., self._b] = x
         return out
+
+    def jac_gather(self, s: int, critic: np.ndarray) -> np.ndarray:
+        """[J^i(s).T @ critic[i, block i]]_i, agent i's block under its own row; flat (n_total,).
+
+        The transpose of ``jac_apply``, so a gather through the same index
+        table; ``critic`` has one row per agent, its first ``total_param_dim``
+        columns laid out like ``params``.
+        """
+        g = critic[self._agent, self._w0 + self._state(s)]
+        if self._b is not None:
+            g += critic[self._agent, self._b]
+        return g
 
     # -- parameter access ---------------------------------------------------
 

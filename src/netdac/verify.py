@@ -347,14 +347,15 @@ def _check_feature_gradients():
         for _ in range(5):
             s = int(rng.integers(4))
             acts = rng.uniform(-1, 1, size=2)
-            for i in range(2):
-                analytic = fmap.grad_action(s, acts, i)
+            critic = rng.standard_normal((2, fmap.dim))
+            analytic = fmap.grad_action(s, acts, critic)
+            for i in range(2):  # one action coordinate per agent
                 hi, lo = acts.copy(), acts.copy()
                 hi[i] += h
                 lo[i] -= h
-                fd = (fmap.eval(s, hi) - fmap.eval(s, lo)) / (2 * h)
-                worst = max(worst, float(np.max(np.abs(analytic[0] - fd))))
-    return worst, 0.0, 1e-6, "feature action-gradients vs central differences"
+                fd = (fmap.eval(s, hi) - fmap.eval(s, lo)) @ critic[i] / (2 * h)
+                worst = max(worst, abs(float(analytic[i]) - fd))
+    return worst, 0.0, 1e-6, "critic action-gradients vs central differences"
 
 
 # --- determinism --------------------------------------------------------------

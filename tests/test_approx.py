@@ -16,15 +16,15 @@ from netdac.policy import affine_policy, constant_policy
 _FD = 1e-6
 
 
-def _fd_feature_grad(features, s, actions, dims, i):
-    """Central finite differences of phi in agent i's action coordinates."""
-    start = sum(dims[:i])
-    out = np.zeros((dims[i], features.dim))
-    for k in range(dims[i]):
+def _fd_critic_grad(features, s, actions, dims, critic):
+    """Central differences of phi . critic[i] in each of agent i's action coordinates."""
+    agent = np.repeat(np.arange(len(dims)), dims)
+    out = np.zeros(sum(dims))
+    for k in range(out.size):
         hi, lo = actions.copy(), actions.copy()
-        hi[start + k] += _FD
-        lo[start + k] -= _FD
-        out[k] = (features.eval(s, hi) - features.eval(s, lo)) / (2 * _FD)
+        hi[k] += _FD
+        lo[k] -= _FD
+        out[k] = (features.eval(s, hi) - features.eval(s, lo)) @ critic[agent[k]] / (2 * _FD)
     return out
 
 
@@ -56,20 +56,21 @@ class TestCompatibleQFeatures:
         assert CompatibleQFeatures(pol, bias=True).dim == 6
 
     def test_gradient_identity(self):
-        # The action-gradient of the fitted critic must equal the policy
-        # Jacobian applied to the agent's weight block — the property that
-        # makes these features 'compatible' with the actor update.
+        # Agent i's action-gradient of its fitted critic must equal its policy
+        # Jacobian applied to its own weight block — the property that makes
+        # these features 'compatible' with the actor update.  The dense
+        # product adds exact zeros only, so the gather must match it bitwise.
         rng = np.random.default_rng(0)
-        pol = affine_policy(n_states=3, action_dims=(2, 1))
-        pol.set_theta_flat(rng.standard_normal(pol.total_param_dim))
-        feats = CompatibleQFeatures(pol, centered=True, bias=True)
-        w = rng.standard_normal(feats.dim)
-        acts = _rand_actions(rng, (2, 1))
-        starts = np.cumsum((0,) + pol.param_dims)
-        for i in range(2):
-            block = w[starts[i] : starts[i + 1]]
-            want = pol.jac(i, 1).T @ block
-            np.testing.assert_allclose(feats.grad_action(1, acts, i) @ w, want, atol=1e-12)
+        for pol in (affine_policy(n_states=3, action_dims=(2, 1)), constant_policy((2, 1))):
+            pol.set_theta_flat(rng.standard_normal(pol.total_param_dim))
+            feats = CompatibleQFeatures(pol, centered=True, bias=True)
+            critic = rng.standard_normal((2, feats.dim))
+            acts = _rand_actions(rng, (2, 1))
+            starts = np.cumsum((0,) + pol.param_dims)
+            want = np.concatenate(
+                [pol.jac(i, 1).T @ critic[i, starts[i] : starts[i + 1]] for i in range(2)]
+            )
+            assert feats.grad_action(1, acts, critic).tobytes() == want.tobytes()
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(1)
@@ -81,12 +82,13 @@ class TestCompatibleQFeatures:
             CompatibleRFeatures(pol, bias=True),
         ):
             acts = _rand_actions(rng, (2, 3))
+            critic = rng.standard_normal((2, feats.dim))
             for s in range(2):
-                for i in range(2):
-                    got = feats.grad_action(s, acts, i)
-                    np.testing.assert_allclose(
-                        got, _fd_feature_grad(feats, s, acts, (2, 3), i), atol=1e-8
-                    )
+                np.testing.assert_allclose(
+                    feats.grad_action(s, acts, critic),
+                    _fd_critic_grad(feats, s, acts, (2, 3), critic),
+                    atol=1e-8,
+                )
 
     def test_eval_batch_matches_eval(self):
         rng = np.random.default_rng(2)
@@ -104,14 +106,14 @@ class TestCompatibleQFeatures:
         rng = np.random.default_rng(3)
         pol = constant_policy((2,))
         pol.theta[0][:] = np.array([0.7, -0.2])
-        w = rng.standard_normal(2)
+        w = rng.standard_normal((1, 2))
         plain = CompatibleQFeatures(pol, centered=False, bias=False)
         cent = CompatibleQFeatures(pol, centered=True, bias=False)
         acts = rng.standard_normal(2)
         np.testing.assert_allclose(
-            plain.grad_action(0, acts, 0) @ w, cent.grad_action(0, acts, 0) @ w, atol=1e-14
+            plain.grad_action(0, acts, w), cent.grad_action(0, acts, w), atol=1e-14
         )
-        assert plain.eval(0, acts) @ w != pytest.approx(cent.eval(0, acts) @ w)
+        assert plain.eval(0, acts) @ w[0] != pytest.approx(cent.eval(0, acts) @ w[0])
 
     def test_shape_errors(self):
         pol = constant_policy((2, 1))
@@ -122,8 +124,6 @@ class TestCompatibleQFeatures:
             feats.eval(0, np.zeros(4))
         with pytest.raises(DimensionMismatch):
             feats.eval_batch(0, np.zeros((5, 2)))
-        with pytest.raises(IndexError):
-            feats.grad_action(0, np.zeros(3), 5)
 
 
 class TestCompatibleRFeatures:
@@ -164,11 +164,12 @@ class TestFourierFeatures:
         rng = np.random.default_rng(6)
         for _ in range(5):
             acts = _rand_actions(rng, (2, 2))
-            for i in range(2):
-                got = feats.grad_action(1, acts, i)
-                np.testing.assert_allclose(
-                    got, _fd_feature_grad(feats, 1, acts, (2, 2), i), atol=1e-7
-                )
+            critic = rng.standard_normal((2, feats.dim))
+            np.testing.assert_allclose(
+                feats.grad_action(1, acts, critic),
+                _fd_critic_grad(feats, 1, acts, (2, 2), critic),
+                atol=1e-7,
+            )
 
     def test_eval_batch_matches_eval(self):
         feats = FourierFeatures(2, (2, 1), dim=4, seed=2)
@@ -196,8 +197,8 @@ class TestTabularFeatures:
 
     def test_zero_action_gradient(self):
         feats = TabularFeatures(3, (2, 1))
-        np.testing.assert_array_equal(feats.grad_action(1, np.zeros(3), 0), np.zeros((2, 3)))
-        np.testing.assert_array_equal(feats.grad_action(1, np.zeros(3), 1), np.zeros((1, 3)))
+        critic = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(feats.grad_action(1, np.zeros(3), critic), np.zeros(3))
 
     def test_state_range_checked(self):
         feats = TabularFeatures(2, (1,))

@@ -118,9 +118,13 @@ class TestAlg1Step:
             np.testing.assert_allclose(
                 state.jhat, 0.8 * jhat_t + 0.2 * r, atol=1e-12
             )
+            # Agent i's actor step: J^i(s) @ dQhat_{w^i}/da^i, with the
+            # compatible action-gradient J^i(s).T @ (agent i's block of w^i).
+            starts = np.cumsum((0,) + pol_snapshot.param_dims)
             for i in range(3):
-                gq = snap_feats.grad_action(s_t, a_t, i) @ w_t[i]
-                want_theta = theta_t[i] + 0.05 * pol_snapshot.jac(i, s_t) @ gq
+                jac = pol_snapshot.jac(i, s_t)
+                gq = jac.T @ w_t[i, starts[i] : starts[i + 1]]
+                want_theta = theta_t[i] + 0.05 * jac @ gq
                 np.testing.assert_allclose(state.policy.theta[i], want_theta, atol=1e-12)
 
     def test_zero_rewards_are_a_fixed_point(self):
@@ -222,10 +226,13 @@ class TestAlg2Step:
             delta = r - lam_t @ w_feat
             want_lam = c @ (lam_t + 0.15 * delta[:, None] * w_feat[None, :])
             np.testing.assert_allclose(state.critic, want_lam, atol=1e-12)
-            mu_t = pol_snapshot.act(s_t)
+            # The compatible action-gradient does not depend on the action,
+            # so taking it at mu_theta(s_t) leaves J^i(s).T @ (block of lam^i).
+            starts = np.cumsum((0,) + pol_snapshot.param_dims)
             for i in range(2):
-                gr = snap_feats.grad_action(s_t, mu_t, i) @ lam_t[i]
-                want_theta = theta_t[i] + 0.02 * pol_snapshot.jac(i, s_t) @ gr
+                jac = pol_snapshot.jac(i, s_t)
+                gr = jac.T @ lam_t[i, starts[i] : starts[i + 1]]
+                want_theta = theta_t[i] + 0.02 * jac @ gr
                 np.testing.assert_allclose(state.policy.theta[i], want_theta, atol=1e-12)
 
     def test_behavior_noise_scale(self):

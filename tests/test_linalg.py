@@ -101,18 +101,6 @@ class TestProjectBox:
         x = np.array([0.2, -0.3])
         np.testing.assert_array_equal(project_box(x, -1.0, 1.0), x)
 
-    def test_vector_bounds(self):
-        out = project_box(np.array([5.0, 5.0]), np.array([0.0, -1.0]), np.array([1.0, 10.0]))
-        np.testing.assert_array_equal(out, [1.0, 5.0])
-
-    def test_empty_box_raises(self):
-        with pytest.raises(ValueError):
-            project_box(np.zeros(2), 1.0, -1.0)
-
-    def test_bad_bound_shape(self):
-        with pytest.raises(DimensionMismatch):
-            project_box(np.zeros(2), np.zeros(3), np.ones(3))
-
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -180,8 +180,8 @@ class TestMspbeFixedPoint:
             def eval(self, s, actions):
                 return np.array([0.5 * v[s]])
 
-            def grad_action(self, s, actions, i):
-                return np.zeros((1, 1))
+            def grad_action(self, s, actions, critic):
+                return np.zeros(len(critic))  # one scalar action per agent
 
             def eval_batch(self, s, flat_actions):
                 return np.full((len(flat_actions), 1), 0.5 * v[s])
@@ -209,8 +209,8 @@ class _DuplicatedConstant(FeatureMap):
     def eval(self, s, actions):
         return np.ones(2)
 
-    def grad_action(self, s, actions, i):
-        return np.zeros((1, 2))
+    def grad_action(self, s, actions, critic):
+        return np.zeros(len(critic))  # one scalar action per agent
 
     def eval_batch(self, s, flat_actions):
         return np.ones((len(flat_actions), 2))

@@ -92,13 +92,6 @@ class TestAffinePolicy:
         const = constant_policy((2,))
         np.testing.assert_array_equal(const.act(5), const.act(0))
 
-    def test_jacobian_read_only_and_cached(self):
-        pol = self.make()
-        j = pol.jac(0, 1)
-        assert pol.jac(0, 1) is j
-        with pytest.raises(ValueError):
-            j[0, 0] = 5.0
-
 
 class TestParameterAccess:
     def test_flat_round_trip(self):

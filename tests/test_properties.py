@@ -1,6 +1,8 @@
 """Property tests for the flat joint action and the flat parameter vector at
-their edges: one agent, agents with different action dimensions, constant
-and affine policies."""
+their edges (one agent, agents with different action dimensions, constant
+and affine policies), and for divergence detection in the training loops."""
+
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdac.approx import CompatibleQFeatures, FourierFeatures
-from netdac.dac import _actor_direction
+from netdac.approx import CompatibleQFeatures, CompatibleRFeatures, FourierFeatures
+from netdac.dac import Schedule, _actor_direction, alg1_step, alg2_step, init_train_state
+from netdac.env import make_bandit, make_finite_mdp
+from netdac.errors import Diverged
+from netdac.network import GraphProcess, complete_graph
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -99,22 +104,41 @@ def test_copy_is_independent(case):
     assert pol.act(s).tobytes() == before.tobytes()
 
 
+def _fourier_agent_grads(feats, s, a, critic):
+    """-(W[:, cols_i] * sin(W x + b)).T @ critic[i] for each agent i, from the map's draw."""
+    x = np.zeros(feats.n_states + a.size)
+    x[s] = 1.0
+    x[feats.n_states :] = a
+    sin = np.sin(feats._w @ x + feats._b)
+    cols = feats.n_states + np.cumsum((0,) + feats.action_dims)
+    return [
+        -(feats._w[:, cols[i] : cols[i + 1]] * sin[:, None]).T @ critic[i]
+        for i in range(len(critic))
+    ]
+
+
 @_SETTINGS
 @given(policy_cases(), st.sampled_from(["compatible", "fourier"]))
 def test_flat_actor_direction_is_per_agent_jacobian_product(case, family):
+    # Each agent's critic action-gradient is one dense product under its own
+    # weights (compatible: jac(i, s).T on its weight block); the joint
+    # gradient and the actor direction must match them bitwise.
     pol, s, rng = case
+    a = rng.standard_normal(sum(pol.action_dims))
     if family == "compatible":
         feats = CompatibleQFeatures(pol, centered=True, bias=True)
-    else:
-        feats = FourierFeatures(pol.n_states, pol.action_dims, 16, seed=1)
-    critic = rng.standard_normal((pol.agent_count, feats.dim))
-    a = rng.standard_normal(sum(pol.action_dims))
-    want = np.concatenate(
-        [
-            pol.jac(i, s) @ (feats.grad_action(s, a, i) @ critic[i])
+        critic = rng.standard_normal((pol.agent_count, feats.dim))
+        starts = np.cumsum((0,) + pol.param_dims)
+        grads = [
+            pol.jac(i, s).T @ critic[i, starts[i] : starts[i + 1]]
             for i in range(pol.agent_count)
         ]
-    )
+    else:
+        feats = FourierFeatures(pol.n_states, pol.action_dims, 16, seed=1)
+        critic = rng.standard_normal((pol.agent_count, feats.dim))
+        grads = _fourier_agent_grads(feats, s, a, critic)
+    assert feats.grad_action(s, a, critic).tobytes() == np.concatenate(grads).tobytes()
+    want = np.concatenate([pol.jac(i, s) @ g for i, g in enumerate(grads)])
     assert _actor_direction(pol, feats, critic, s, a).tobytes() == want.tobytes()
 
 
@@ -153,3 +177,49 @@ def test_zero_sigma_perturb_copies_and_draws_nothing(case):
     assert out is not a
     assert out.tobytes() == a.tobytes()
     assert rng.bit_generator.state == before
+
+
+class _RewardsTurnBad:
+    """An environment whose local rewards all read ``bad`` from its ``start``-th call on."""
+
+    def __init__(self, env, start, bad):
+        self._env, self._start, self._bad, self._calls = env, start, bad, 0
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+    def local_rewards(self, s, actions):
+        r = self._env.local_rewards(s, actions)
+        self._calls += 1
+        return r if self._calls <= self._start else np.full_like(r, self._bad)
+
+
+@_SETTINGS
+@given(
+    st.sampled_from(["alg1", "alg2"]),
+    st.booleans(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(0, 40),
+)
+def test_bad_reward_raises_diverged_naming_critic_and_step(algorithm, bandit, bad, start):
+    env = make_bandit(2, 2, seed=1) if bandit else make_finite_mdp(3, 2, seed=1)
+    env = _RewardsTurnBad(env, start, bad)
+    if bandit:
+        pol = constant_policy(env.action_dims)
+    else:
+        pol = affine_policy(env.state_count, env.action_dims)
+    if algorithm == "alg1":
+        feats, step = CompatibleQFeatures(pol, centered=True, bias=True), alg1_step
+    else:
+        feats, step = CompatibleRFeatures(pol, bias=True), alg2_step
+    noise = GaussianNoise(0.1)
+    proc = GraphProcess(complete_graph(2))
+    sch = Schedule("constant", 0.1, 0.01)
+    state = init_train_state(env, pol, feats, seed=0, algorithm=algorithm, exploration=noise)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(Diverged) as err:
+        for _ in range(start + 17):
+            step(state, env, feats, proc, sch, noise)
+    # The step with index ``start`` reads the first bad reward; the critic is
+    # the first iterate checked, and the check runs every 16 steps.
+    assert start < state.t <= start + 16
+    assert re.fullmatch(rf"critic magnitude \S+ at step {state.t}", str(err.value))
