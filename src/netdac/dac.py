@@ -28,7 +28,10 @@ averaged reward itself (no temporal bootstrapping):
                        dRbarhat_{l^i}/da^i (s, mu_theta(s)) ]
     l^i      <-  sum_j c_ij ltilde^j                       (consensus)
 
-and the next behavior action is drawn after the update (with the new theta).
+Both algorithms run one step body, ``_step``, which branches on the algorithm
+in two places: the critic target above (with the action the actor reads the
+critic's gradient at) and the draw of the next action, made before the actor
+step under alg1 (pre-update policy) and after it under alg2 (new theta).
 
 Both loops run either fully online (actor every step) or in batch mode: the
 critic runs for a batch of steps with theta frozen (re-initialized to zero at
@@ -38,7 +41,7 @@ the batch-end critic, averaged over the batch's sampled states/actions.
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from .approx import (
     TabularFeatures,
 )
 from .config import MetricsRow, RunConfig
-from .env import ContinuousBandit, FiniteTestMdp, NetworkedMdp, make_bandit, make_finite_mdp
+from .env import NetworkedMdp, make_bandit, make_finite_mdp
 from .errors import ConfigError, Diverged
 from .linalg import project_box, stationary_distribution
 from .network import (
@@ -86,6 +89,9 @@ DIVERGENCE_BOUND = 1e8
 #: Steps between divergence checks inside the training loops (the check also
 #: runs after every actor update, so blow-ups surface within a few steps).
 _FINITE_CHECK_EVERY = 16
+
+#: The sub-stream each algorithm draws its actions from.
+_ACTION_STREAM = {"alg1": "noise", "alg2": "behavior"}
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ class TrainState:
     t: int
     s: int
     actions: np.ndarray  # flat joint action to be executed at time t
-    rngs: dict  # named random sub-streams
+    rngs: dict  # "env" and the algorithm's action stream, by sub-stream label
     algorithm: str = "alg1"
     last_actor_grad_norm: float = 0.0
     comm_scalars: int = 0  # simulated network traffic, in scalars sent
@@ -145,7 +151,11 @@ class TrainState:
     def check_finite(self) -> None:
         """Raise Diverged naming the first iterate that is non-finite or too large."""
         iterates = [("critic", self.critic), ("jhat", self.jhat)]
-        iterates += [(f"theta[{i}]", t) for i, t in enumerate(self.policy.theta)]
+        # params is checked whole; only a failure searches the agents' blocks,
+        # so the message names theta[i] with that block's own magnitude.
+        params = self.policy.params
+        if params.size and not np.max(np.abs(params)) <= DIVERGENCE_BOUND:
+            iterates += [(f"theta[{i}]", t) for i, t in enumerate(self.policy.theta)]
         for name, value in iterates:
             worst = float(np.max(np.abs(value))) if value.size else 0.0
             # np.max propagates NaN, and NaN fails every comparison.
@@ -162,27 +172,23 @@ def init_train_state(
     exploration: GaussianNoise = GaussianNoise(0.0),
     s0: int = 0,
 ) -> TrainState:
-    """Fresh state: zero critics, zero Jhat, initial action from the policy.
+    """Fresh state: zero critics, zero Jhat, initial action mu(s0) plus noise.
 
-    For alg1 the initial action is mu(s0) plus exploration noise; for alg2 it
-    is a draw from the Gaussian behavior policy.  Separate named sub-streams
-    (env / noise / graph / behavior) are derived from the seed.
+    Two named sub-streams are derived from the seed: "env" for transitions
+    and the algorithm's action stream ("noise" for alg1's exploration,
+    "behavior" for alg2's behavior policy), which draws the initial action.
     """
-    if algorithm not in ("alg1", "alg2"):
+    if algorithm not in _ACTION_STREAM:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    rngs = {label: substream(seed, label) for label in ("env", "noise", "behavior")}
+    rngs = {label: substream(seed, label) for label in ("env", _ACTION_STREAM[algorithm])}
     n = mdp.agent_count
-    if algorithm == "alg1":
-        a0 = exploration.perturb(policy.act(s0), rngs["noise"])
-    else:
-        a0 = exploration.sample(policy, s0, rngs["behavior"])
     return TrainState(
         policy=policy,
         critic=np.zeros((n, features.dim)),
         jhat=np.zeros(n),
         t=0,
         s=int(s0),
-        actions=a0,
+        actions=exploration.perturb(policy.act(s0), rngs[_ACTION_STREAM[algorithm]]),
         rngs=rngs,
         algorithm=algorithm,
     )
@@ -206,8 +212,60 @@ def _actor_step(state: TrainState, g: np.ndarray, beta_th: float) -> float:
     return float(np.sqrt(sum(float(gi @ gi) for gi in blocks)))
 
 
-def _log_comm(state: TrainState, features: FeatureMap, directed_edges: int) -> None:
-    state.comm_scalars += features.dim * directed_edges + features.jacobian_scalars
+def _step(
+    state: TrainState,
+    mdp: NetworkedMdp,
+    features: FeatureMap,
+    process: GraphProcess,
+    schedule: Schedule,
+    noise: GaussianNoise,
+    update_actor: bool,
+    algorithm: str,
+) -> TrainState:
+    """One transition of either algorithm (mutates and returns state)."""
+    if state.algorithm != algorithm:
+        raise ValueError(f"{algorithm}_step called on a state initialized for {state.algorithm}")
+    policy, w = state.policy, state.critic
+    s, acts, t = state.s, state.actions, state.t
+    rng = state.rngs[_ACTION_STREAM[algorithm]]
+    beta_w = schedule.beta_critic(t)
+
+    r = mdp.local_rewards(s, acts)
+    s_next = mdp.transition(s, acts, state.rngs["env"])
+    if algorithm == "alg1":
+        # Next action follows the current (pre-update) policy.
+        a_next = noise.perturb(policy.act(s_next), rng)
+        phi = features.eval(s, acts) if state.phi is None else state.phi
+        # phi(s', a') is next step's phi unless the actor update below clears it.
+        state.phi = features.eval(s_next, a_next)
+        delta = r - state.jhat + w @ state.phi - w @ phi
+        state.jhat = (1.0 - beta_w) * state.jhat + beta_w * r
+    else:
+        phi = features.eval(s, acts)
+        delta = r - w @ phi
+    w_tilde = w + beta_w * delta[:, None] * phi[None, :]
+
+    grad_norm = 0.0
+    if update_actor:
+        # alg2 takes the actor gradient at the on-policy action mu_theta(s_t).
+        a_grad = acts if algorithm == "alg1" else policy.act(s)
+        g = _actor_direction(policy, features, w, s, a_grad)
+        grad_norm = _actor_step(state, g, schedule.beta_actor(t))
+    if algorithm == "alg2":
+        # The next behavior action is drawn around the post-update policy.
+        a_next = noise.perturb(policy.act(s_next), rng)
+
+    c = process.sample_weights()
+    state.critic = c @ w_tilde
+    state.comm_scalars += features.dim * process.directed_edge_count(c) + features.jacobian_scalars
+
+    state.last_actor_grad_norm = grad_norm
+    state.t = t + 1
+    state.s = s_next
+    state.actions = a_next
+    if state.t % _FINITE_CHECK_EVERY == 0:
+        state.check_finite()
+    return state
 
 
 def alg1_step(
@@ -220,41 +278,7 @@ def alg1_step(
     update_actor: bool = True,
 ) -> TrainState:
     """One transition of the on-policy algorithm (mutates and returns state)."""
-    policy, w = state.policy, state.critic
-    s, acts, t = state.s, state.actions, state.t
-    beta_w = schedule.beta_critic(t)
-    beta_th = schedule.beta_actor(t)
-
-    r = mdp.local_rewards(s, acts)
-    s_next = mdp.transition(s, acts, state.rngs["env"])
-    # Next action follows the current (pre-update) policy.
-    a_next = exploration.perturb(policy.act(s_next), state.rngs["noise"])
-
-    phi = features.eval(s, acts) if state.phi is None else state.phi
-    phi_next = features.eval(s_next, a_next)
-    # phi_next is next step's phi unless the actor update below clears it.
-    state.phi = phi_next
-    delta = r - state.jhat + w @ phi_next - w @ phi
-    jhat_new = (1.0 - beta_w) * state.jhat + beta_w * r
-    w_tilde = w + beta_w * delta[:, None] * phi[None, :]
-
-    grad_norm = 0.0
-    if update_actor:
-        g = _actor_direction(policy, features, w, s, acts)
-        grad_norm = _actor_step(state, g, beta_th)
-
-    c = process.sample_weights()
-    state.critic = c @ w_tilde
-    state.jhat = jhat_new
-    _log_comm(state, features, process.directed_edge_count(c))
-
-    state.last_actor_grad_norm = grad_norm
-    state.t = t + 1
-    state.s = s_next
-    state.actions = a_next
-    if state.t % _FINITE_CHECK_EVERY == 0:
-        state.check_finite()
-    return state
+    return _step(state, mdp, features, process, schedule, exploration, update_actor, "alg1")
 
 
 def alg2_step(
@@ -267,38 +291,7 @@ def alg2_step(
     update_actor: bool = True,
 ) -> TrainState:
     """One transition of the off-policy algorithm (mutates and returns state)."""
-    policy, lam = state.policy, state.critic
-    s, acts, t = state.s, state.actions, state.t
-    beta_l = schedule.beta_critic(t)
-    beta_th = schedule.beta_actor(t)
-
-    r = mdp.local_rewards(s, acts)
-    s_next = mdp.transition(s, acts, state.rngs["env"])
-
-    w_feat = features.eval(s, acts)
-    delta = r - lam @ w_feat
-    lam_tilde = lam + beta_l * delta[:, None] * w_feat[None, :]
-
-    grad_norm = 0.0
-    if update_actor:
-        # The actor gradient is taken at the on-policy action mu_theta(s_t).
-        g = _actor_direction(policy, features, lam, s, policy.act(s))
-        grad_norm = _actor_step(state, g, beta_th)
-
-    c = process.sample_weights()
-    state.critic = c @ lam_tilde
-    _log_comm(state, features, process.directed_edge_count(c))
-
-    # The next behavior action is drawn around the post-update policy.
-    a_next = behavior.sample(policy, s_next, state.rngs["behavior"])
-
-    state.last_actor_grad_norm = grad_norm
-    state.t = t + 1
-    state.s = s_next
-    state.actions = a_next
-    if state.t % _FINITE_CHECK_EVERY == 0:
-        state.check_finite()
-    return state
+    return _step(state, mdp, features, process, schedule, behavior, update_actor, "alg2")
 
 
 def evaluate_policy_cost(

@@ -225,7 +225,3 @@ class GaussianNoise:
         if self.sigma == 0.0:
             return a.copy()
         return a + self.sigma * rng.standard_normal(a.size)
-
-    def sample(self, policy: PolicySet, s: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw a joint action from N(mu_theta(s), sigma^2 I)."""
-        return self.perturb(policy.act(s), rng)

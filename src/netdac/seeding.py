@@ -5,6 +5,10 @@ noise, communication-graph sampling, behavior-policy draws) gets its own
 generator so that changing how often one consumer draws never perturbs the
 others.  Streams are derived with ``numpy.random.SeedSequence`` keyed by the
 run seed plus a stable hash of the stream label.
+
+A training run draws from "env", "graph" and one action stream: "noise"
+under alg1 (exploration) and "behavior" under alg2 (the behavior policy),
+plus "eval" when the policy cost is estimated by rollouts.
 """
 
 import hashlib

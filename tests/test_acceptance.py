@@ -1,7 +1,8 @@
 """Acceptance gate: the package's headline behavioral claims, end to end.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
-live).  The claims:
+live).  The runs of more than 10 s are marked ``slow``, so ``pytest -m "not
+slow"`` leaves them out.  The claims:
 
 a. Ten-agent bandit coordination: for action dimensions 10/20/50, both
    algorithms drive the evaluated cost below 1% of its initial value,
@@ -57,6 +58,7 @@ def _report(label: str, ok: bool, detail: str) -> None:
 _BANDIT_BATCHES = {10: 3000, 20: 1700, 50: 800}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("m", [10, 20, 50])
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
 def test_bandit_reproduction(algorithm, m):
@@ -147,6 +149,7 @@ def test_policy_gradient_correctness():
 # --- c. on-policy critic fixed point ------------------------------------------
 
 
+@pytest.mark.slow
 def test_onpolicy_critic_fixed_point():
     mdp = make_finite_mdp(5, 3, seed=11)
     policy = affine_policy(5, mdp.action_dims)
@@ -187,6 +190,7 @@ def test_onpolicy_critic_fixed_point():
 # --- d. off-policy critic fixed point -----------------------------------------
 
 
+@pytest.mark.slow
 def test_offpolicy_critic_fixed_point():
     env = make_bandit(3, 1, seed=9)
     theta = [np.array([0.5]), np.array([-0.5]), np.array([1.0])]

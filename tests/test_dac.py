@@ -6,7 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from netdac.approx import CompatibleQFeatures, CompatibleRFeatures, TabularFeatures
+from netdac.approx import (
+    CompatibleQFeatures,
+    CompatibleRFeatures,
+    FourierFeatures,
+    TabularFeatures,
+)
 from netdac.config import RunConfig
 from netdac.dac import (
     Schedule,
@@ -20,7 +25,7 @@ from netdac.dac import (
 from netdac.env import ContinuousBandit, FiniteTestMdp, make_bandit, make_finite_mdp
 from netdac.errors import Diverged
 from netdac.network import GraphProcess, complete_graph, edgeless_graph, metropolis_weights
-from netdac.policy import GaussianNoise, constant_policy
+from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 
 def _unit_bandit(theta=1.0):
@@ -251,6 +256,42 @@ class TestAlg2Step:
         draws = np.array(draws)
         assert abs(draws.std() - 0.5) < 0.05
         assert abs(draws.mean()) < 0.05
+
+
+class TestStepSkeleton:
+    """What alg1 and alg2 share one step body for, and where they differ."""
+
+    def _setup(self, algorithm):
+        mdp = make_finite_mdp(4, 2, seed=3)
+        pol = affine_policy(mdp.state_count, mdp.action_dims)
+        feats = FourierFeatures(mdp.state_count, mdp.action_dims, 8, seed=1)
+        proc = GraphProcess(complete_graph(2))
+        sch = Schedule("constant", 0.3, 0.2)
+        state = init_train_state(mdp, pol, feats, seed=2, algorithm=algorithm)
+        return state, (mdp, feats, proc, sch)
+
+    @pytest.mark.parametrize("algorithm, other", [("alg1", alg2_step), ("alg2", alg1_step)])
+    def test_state_of_the_other_algorithm_rejected(self, algorithm, other):
+        state, args = self._setup(algorithm)
+        with pytest.raises(ValueError, match="alg1.*alg2|alg2.*alg1"):
+            other(state, *args)
+        assert state.t == 0
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_next_action_draw_point(self, algorithm):
+        # sigma = 0: alg1's next action is the pre-update mu(s'), alg2's the
+        # post-update one, byte for byte; the actor must move for this to tell.
+        state, args = self._setup(algorithm)
+        step = alg1_step if algorithm == "alg1" else alg2_step
+        moved = 0
+        for _ in range(30):
+            before = state.policy.copy()
+            step(state, *args, GaussianNoise(0.0))
+            pre, post = before.act(state.s), state.policy.act(state.s)
+            moved += not np.array_equal(pre, post)
+            want = pre if algorithm == "alg1" else post
+            assert state.actions.tobytes() == want.tobytes()
+        assert moved >= 20
 
 
 class TestEvaluatePolicyCost:

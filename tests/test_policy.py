@@ -141,13 +141,6 @@ class TestGaussianNoise:
         assert np.max(np.abs(draws.mean(axis=0))) < 0.02
         np.testing.assert_allclose(draws.std(axis=0), 0.5, atol=0.02)
 
-    def test_sample_centers_on_policy(self):
-        pol = constant_policy((2,))
-        pol.theta[0][:] = np.array([3.0, -1.0])
-        noise = GaussianNoise(0.01)
-        out = noise.sample(pol, 0, np.random.default_rng(2))
-        np.testing.assert_allclose(out, [3.0, -1.0], atol=0.1)
-
     def test_reproducible_from_seeded_rng(self):
         noise = GaussianNoise(1.0)
         a = noise.perturb(np.zeros(3), np.random.default_rng(42))
