@@ -3,7 +3,9 @@
 A critic is linear in its weights, ``f(s, a) = phi(s, a) . w``; its value is
 ``features.eval(s, a) @ w``.  Feature maps expose the features on one joint
 action (a flat vector, agent i at a static offset; see :mod:`netdac.env`), on
-a ``(T, n_total)`` batch of joint actions (for the oracles), and the joint
+rows of (state, joint action) pairs (a training segment; each row is
+``eval``'s bits), on a ``(T, n_total)`` batch of joint actions in one state
+(for the oracles; roundoff-equal only), and the joint
 critic action-gradient the actor update needs: for per-agent weights
 ``critic`` (one row per agent), ``features.grad_action(s, a, critic)`` is the
 flat vector whose agent-i block is ``d (phi(s, a) . critic[i]) / d a^i``,
@@ -64,6 +66,10 @@ class FeatureMap(abc.ABC):
     def eval_batch(self, s: int, flat_actions: np.ndarray) -> np.ndarray:
         """phi over a (T, n_total) batch of flat joint actions, shape (T, dim)."""
 
+    def eval_rows(self, states, flat_actions) -> np.ndarray:
+        """Row k is ``eval(states[k], flat_actions[k])`` bit for bit; (T, dim), C-contiguous."""
+        return np.array([self.eval(s, a) for s, a in zip(states, flat_actions)])
+
 
 class _PolicyJacobianFeatures(FeatureMap):
     """Per-agent blocks jac(i, s) @ (a^i - center_i(s)), optionally plus a bias."""
@@ -96,6 +102,11 @@ class _PolicyJacobianFeatures(FeatureMap):
                 f"joint action has shape {actions.shape}, expected ({self._n_total},)"
             )
         return self._fill(s, actions, np.zeros(self.dim))
+
+    def eval_rows(self, states, flat_actions) -> np.ndarray:
+        # One scatter through the policy's index table, with per-row states.
+        flat_actions = np.asarray(flat_actions, dtype=float)
+        return self._fill(list(states), flat_actions, np.zeros((len(flat_actions), self.dim)))
 
     def grad_action(self, s, actions, critic) -> np.ndarray:
         # d phi / d a^i is jac(i, s).T in agent i's block and zero elsewhere.

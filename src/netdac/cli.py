@@ -19,6 +19,7 @@ Subcommands
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -42,19 +43,9 @@ def _fmt(x: float) -> str:
 
 
 def _row_line(row: MetricsRow) -> str:
-    return ",".join(
-        [
-            row.run_id,
-            str(row.seed),
-            str(row.t),
-            str(row.batch),
-            _fmt(row.eval_cost),
-            _fmt(row.mean_jhat),
-            _fmt(row.critic_disagreement),
-            _fmt(row.actor_grad_norm),
-            str(row.wallclock_ms),
-        ]
-    )
+    floats = (row.eval_cost, row.mean_jhat, row.critic_disagreement, row.actor_grad_norm)
+    ints = (row.seed, row.t, row.batch)
+    return ",".join([row.run_id, *map(str, ints), *map(_fmt, floats), str(row.wallclock_ms)])
 
 
 def write_csv(path: str, rows, seeds) -> None:
@@ -66,18 +57,7 @@ def write_csv(path: str, rows, seeds) -> None:
         if not seed_rows:
             continue
         final = seed_rows[-1]
-        summary = MetricsRow(
-            run_id=final.run_id + "-summary",
-            seed=final.seed,
-            t=final.t,
-            batch=final.batch,
-            eval_cost=final.eval_cost,
-            mean_jhat=final.mean_jhat,
-            critic_disagreement=final.critic_disagreement,
-            actor_grad_norm=final.actor_grad_norm,
-            wallclock_ms=final.wallclock_ms,
-        )
-        lines.append(_row_line(summary))
+        lines.append(_row_line(dataclasses.replace(final, run_id=final.run_id + "-summary")))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -183,10 +163,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args.fault_inject, args.output)
         print(serialize_config(RunConfig()), end="")
         return 0
-    except NetdacError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NetdacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

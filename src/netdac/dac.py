@@ -28,10 +28,18 @@ averaged reward itself (no temporal bootstrapping):
                        dRbarhat_{l^i}/da^i (s, mu_theta(s)) ]
     l^i      <-  sum_j c_ij ltilde^j                       (consensus)
 
-Both algorithms run one step body, ``_step``, which branches on the algorithm
-in two places: the critic target above (with the action the actor reads the
-critic's gradient at) and the draw of the next action, made before the actor
-step under alg1 (pre-update policy) and after it under alg2 (new theta).
+Both algorithms run one step body, ``_critic_segment``: ``steps`` transitions
+under a frozen theta (one batch-mode batch), or one transition followed by the
+actor step (``alg1_step``, ``alg2_step``).  It branches on the algorithm in two
+places: the critic target above (with the action the actor reads the critic's
+gradient at) and the draw of the last action, made before the actor step under
+alg1 (pre-update policy) and after it under alg2 (new theta).  Only the critic
+recurrence is sequential: a segment draws its noise as one block, rolls states
+and actions forward (``transition`` and ``act`` per row), then takes all its
+rewards and features at once (``local_rewards_rows``, ``eval_rows``).  The
+blocks are bit-equal to per-step calls: ``standard_normal((T, n))`` gives the
+bits of T draws of n, the ``*_rows`` methods are exact row by row, and each
+``w @ phi`` reads a C-contiguous row.
 
 Both loops run either fully online (actor every step) or in batch mode: the
 critic runs for a batch of steps with theta frozen (re-initialized to zero at
@@ -45,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network
 from .approx import (
     CompatibleQFeatures,
     CompatibleRFeatures,
@@ -56,16 +65,7 @@ from .config import MetricsRow, RunConfig
 from .env import NetworkedMdp, make_bandit, make_finite_mdp
 from .errors import ConfigError, Diverged
 from .linalg import project_box, stationary_distribution
-from .network import (
-    CommGraph,
-    GraphProcess,
-    complete_graph,
-    edgeless_graph,
-    load_edge_list,
-    path_graph,
-    ring_graph,
-    star_graph,
-)
+from .network import CommGraph, GraphProcess, load_edge_list
 from .policy import GaussianNoise, PolicySet, affine_policy, constant_policy
 from .seeding import substream
 
@@ -208,64 +208,72 @@ def _actor_step(state: TrainState, g: np.ndarray, beta_th: float) -> float:
     policy.params[:] = project_box(policy.params + beta_th * g, policy.lo, policy.hi)
     state.phi = None
     # Agent norms added in agent order: one flat dot over g sums differently.
-    blocks = np.split(g, np.cumsum(policy.param_dims)[:-1])
-    return float(np.sqrt(sum(float(gi @ gi) for gi in blocks)))
+    return float(np.sqrt(sum(float(g[b] @ g[b]) for b in policy.param_blocks)))
 
 
-def _step(
-    state: TrainState,
-    mdp: NetworkedMdp,
-    features: FeatureMap,
-    process: GraphProcess,
-    schedule: Schedule,
-    noise: GaussianNoise,
-    update_actor: bool,
-    algorithm: str,
-) -> TrainState:
-    """One transition of either algorithm (mutates and returns state)."""
+def _critic_segment(
+    state: TrainState, mdp: NetworkedMdp, features: FeatureMap, process: GraphProcess,
+    schedule: Schedule, noise: GaussianNoise, update_actor: bool, algorithm: str, steps: int = 1,
+) -> list:
+    """``steps`` transitions under a frozen theta, or one followed by the actor step.
+
+    ``update_actor`` needs ``steps = 1``: the rows are evaluated before the
+    loop.  Mutates ``state`` and returns the segment's (s_k, a_k) samples.
+    """
     if state.algorithm != algorithm:
         raise ValueError(f"{algorithm}_step called on a state initialized for {state.algorithm}")
-    policy, w = state.policy, state.critic
-    s, acts, t = state.s, state.actions, state.t
-    rng = state.rngs[_ACTION_STREAM[algorithm]]
-    beta_w = schedule.beta_critic(t)
+    policy, alg1, t = state.policy, algorithm == "alg1", state.t
+    z = noise.draw(steps, state.actions.size, state.rngs[_ACTION_STREAM[algorithm]])
+    states, acts = [state.s], [state.actions]
 
-    r = mdp.local_rewards(s, acts)
-    s_next = mdp.transition(s, acts, state.rngs["env"])
-    if algorithm == "alg1":
-        # Next action follows the current (pre-update) policy.
-        a_next = noise.perturb(policy.act(s_next), rng)
-        phi = features.eval(s, acts) if state.phi is None else state.phi
-        # phi(s', a') is next step's phi unless the actor update below clears it.
-        state.phi = features.eval(s_next, a_next)
-        delta = r - state.jhat + w @ state.phi - w @ phi
-        state.jhat = (1.0 - beta_w) * state.jhat + beta_w * r
+    def next_action(k):
+        a = policy.act(states[k + 1])
+        return a if z is None else a + z[k]
+
+    for k in range(steps):
+        states.append(mdp.transition(states[k], acts[k], state.rngs["env"]))
+        if k + 1 < steps or alg1:  # alg2 draws its last action after the actor step
+            acts.append(next_action(k))
+    # phi(s_k, a_k) for k <= steps under alg1 (k = 0 carried over unless an
+    # actor update cleared it), k < steps under alg2.  One row needs no block.
+    phis = [] if state.phi is None else [state.phi]
+    rows = states[len(phis) : len(acts)], acts[len(phis) :]
+    if steps == 1:
+        rewards = [mdp.local_rewards(states[0], acts[0])]
+        phis.extend(map(features.eval, *rows))
     else:
-        phi = features.eval(s, acts)
-        delta = r - w @ phi
-    w_tilde = w + beta_w * delta[:, None] * phi[None, :]
+        rewards = mdp.local_rewards_rows(states[:steps], acts[:steps])
+        phis.extend(features.eval_rows(*rows))
+    if alg1:
+        state.phi = phis[-1]
 
     grad_norm = 0.0
-    if update_actor:
-        # alg2 takes the actor gradient at the on-policy action mu_theta(s_t).
-        a_grad = acts if algorithm == "alg1" else policy.act(s)
-        g = _actor_direction(policy, features, w, s, a_grad)
-        grad_norm = _actor_step(state, g, schedule.beta_actor(t))
-    if algorithm == "alg2":
+    for k in range(steps):
+        w, phi, r, beta_w = state.critic, phis[k], rewards[k], schedule.beta_critic(t)
+        if alg1:
+            delta = r - state.jhat + w @ phis[k + 1] - w @ phi
+            state.jhat = (1.0 - beta_w) * state.jhat + beta_w * r
+        else:
+            delta = r - w @ phi
+        w_tilde = w + beta_w * delta[:, None] * phi[None, :]
+        if update_actor:
+            # alg2 takes the actor gradient at the on-policy action mu_theta(s_t).
+            a_grad = acts[0] if alg1 else policy.act(states[0])
+            g = _actor_direction(policy, features, w, states[0], a_grad)
+            grad_norm = _actor_step(state, g, schedule.beta_actor(t))
+        c = process.sample_weights()
+        state.critic = c @ w_tilde
+        sent = features.dim * process.directed_edge_count(c)
+        state.comm_scalars += sent + features.jacobian_scalars
+        t = state.t = t + 1
+        if t % _FINITE_CHECK_EVERY == 0:
+            state.check_finite()
+    if not alg1:
         # The next behavior action is drawn around the post-update policy.
-        a_next = noise.perturb(policy.act(s_next), rng)
-
-    c = process.sample_weights()
-    state.critic = c @ w_tilde
-    state.comm_scalars += features.dim * process.directed_edge_count(c) + features.jacobian_scalars
-
+        acts.append(next_action(steps - 1))
     state.last_actor_grad_norm = grad_norm
-    state.t = t + 1
-    state.s = s_next
-    state.actions = a_next
-    if state.t % _FINITE_CHECK_EVERY == 0:
-        state.check_finite()
-    return state
+    state.s, state.actions = states[-1], acts[-1]
+    return list(zip(states, acts[:steps]))
 
 
 def alg1_step(
@@ -278,7 +286,8 @@ def alg1_step(
     update_actor: bool = True,
 ) -> TrainState:
     """One transition of the on-policy algorithm (mutates and returns state)."""
-    return _step(state, mdp, features, process, schedule, exploration, update_actor, "alg1")
+    _critic_segment(state, mdp, features, process, schedule, exploration, update_actor, "alg1")
+    return state
 
 
 def alg2_step(
@@ -291,7 +300,8 @@ def alg2_step(
     update_actor: bool = True,
 ) -> TrainState:
     """One transition of the off-policy algorithm (mutates and returns state)."""
-    return _step(state, mdp, features, process, schedule, behavior, update_actor, "alg2")
+    _critic_segment(state, mdp, features, process, schedule, behavior, update_actor, "alg2")
+    return state
 
 
 def evaluate_policy_cost(
@@ -315,6 +325,8 @@ def evaluate_policy_cost(
             s = mdp.transition(s, acts, rng)
         return -total / rollout_steps
     n_s = mdp.state_count
+    if n_s == 1:  # the stationary distribution is ones(1): the same float, no solve
+        return float(-mdp.mean_reward(0, policy.act(0)))
     rows = np.stack([mdp.transition_row(s, policy.act(s)) for s in range(n_s)])
     d = stationary_distribution(rows)
     rbar = np.array([mdp.mean_reward(s, policy.act(s)) for s in range(n_s)])
@@ -359,17 +371,9 @@ def build_features(config: RunConfig, mdp: NetworkedMdp, policy: PolicySet) -> F
 
 def build_graph(config: RunConfig) -> CommGraph:
     """Base communication graph named by the config topology."""
-    name = config.topology
-    makers = {
-        "complete": complete_graph,
-        "path": path_graph,
-        "ring": ring_graph,
-        "star": star_graph,
-        "edgeless": edgeless_graph,
-    }
-    if name in makers:
-        return makers[name](config.agents)
-    _, _, path = name.partition(":")
+    if ":" not in config.topology:  # a named topology: network.<name>_graph
+        return getattr(network, config.topology + "_graph")(config.agents)
+    _, _, path = config.topology.partition(":")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -469,13 +473,10 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
         for b in range(1, config.batches + 1):
             if not config.critic_warm_start:
                 state.critic[:] = 0.0
-            samples = []
-            for _ in range(batch_size):
-                # Every step replaces state.actions with fresh arrays.
-                samples.append((state.s, state.actions))
-                step_fn(
-                    state, mdp, features, process, schedule, exploration, update_actor=False
-                )
+            samples = _critic_segment(
+                state, mdp, features, process, schedule, exploration, False, config.algorithm,
+                steps=batch_size,
+            )
             grad_norm = _batch_actor_update(state, features, schedule, samples, b - 1, config)
             rows.append(eval_row(b, grad_norm))
     else:

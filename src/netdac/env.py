@@ -29,6 +29,7 @@ actions is a ``(T, n_total)`` array of such rows.
 * single joint action — ``local_rewards`` (all agents' rewards, used by
   training), ``mean_reward`` (Rbar) and ``transition_row`` (the
   distribution over next states);
+* rows of (state, joint action) pairs — ``local_rewards_rows``, shape ``(T, N)``;
 * batch of joint actions — ``mean_reward_batch`` (shape ``(T,)``) and
   ``transition_row_batch`` (shape ``(T, S)``), used by the quadrature and
   Monte-Carlo oracles;
@@ -36,11 +37,11 @@ actions is a ``(T, n_total)`` array of such rows.
   d a^i, shape ``(n_i,)``) and ``transition_grad_action`` (d P(.|s, a) /
   d a^i, shape ``(n_i, S)``), used by the exact policy gradient.
 
-The single-action and batch forms agree to roundoff, not bit for bit: each
-keeps its own order of summation, and training outputs depend on the
-single-action arithmetic (sums over agents run in agent order).
-:meth:`NetworkedMdp.transition` is the one concrete sampler, by inverse CDF
-on ``transition_row``.
+The ``*_rows`` forms are exact: row k is the single-action call, bit for bit.
+The ``*_batch`` forms agree to roundoff only: each keeps its own order of
+summation, and training outputs depend on the single-action arithmetic
+(sums over agents run in agent order).  :meth:`NetworkedMdp.transition` is
+the one concrete sampler, by inverse CDF on ``transition_row``.
 """
 
 import abc
@@ -106,6 +107,10 @@ class NetworkedMdp(abc.ABC):
     def transition_grad_action(self, i: int, s: int, actions) -> np.ndarray:
         """Jacobian of the transition row w.r.t. agent i's action, shape (n_i, S)."""
 
+    def local_rewards_rows(self, states, flat_actions) -> np.ndarray:
+        """Row k is ``local_rewards(states[k], flat_actions[k])`` bit for bit; shape (T, N)."""
+        return np.array([self.local_rewards(s, a) for s, a in zip(states, flat_actions)])
+
     def transition(self, s: int, actions, rng: np.random.Generator) -> int:
         """Draw s' ~ P(. | s, a) by inverse-CDF sampling on the transition row.
 
@@ -169,6 +174,14 @@ class ContinuousBandit(NetworkedMdp):
 
     def local_rewards(self, s, actions) -> np.ndarray:
         return np.full(self.agent_count, bandit_reward(self, actions))
+
+    def local_rewards_rows(self, states, flat_actions) -> np.ndarray:
+        # Agent-order sums over the block are exact; the quadratic form stays
+        # per row (each batched form sums in another order).
+        a = np.asarray(flat_actions, dtype=float).reshape(len(flat_actions), self.agent_count, -1)
+        devs = np.add.accumulate(a, axis=1)[:, -1] - self.target
+        r = np.array([-(dev @ self.cost @ dev) for dev in devs])
+        return np.repeat(r[:, None], self.agent_count, axis=1)
 
     def mean_reward(self, s, actions) -> float:
         return bandit_reward(self, actions)

@@ -77,7 +77,9 @@ class PolicySet:
         self.params = np.concatenate(theta)
         p0 = np.cumsum((0,) + self.param_dims)
         a0 = np.cumsum((0,) + self.action_dims)
-        self.theta = tuple(np.split(self.params, p0[1:-1]))
+        #: Agent i's block of ``params`` (static slices, in agent order).
+        self.param_blocks = tuple(map(slice, p0[:-1], p0[1:]))
+        self.theta = tuple(self.params[b] for b in self.param_blocks)
         self._agent_actions = tuple(map(slice, a0[:-1], a0[1:]))
         # Action coordinate k, agent i's coordinate p, reads theta^i_p, or
         # W^i[p, s] at _w0[k] + s and b^i_p at _b[k] in the affine form.
@@ -110,16 +112,26 @@ class PolicySet:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _state(self, s: int) -> int:
-        """The state offset into the index table: s (range-checked) or 0 for "constant"."""
+    def _state(self, s):
+        """The state offset into the index table: s (range-checked) or 0 for "constant".
+
+        A list of states gives a column, one offset per row.
+        """
         if self.form == "constant":
             return 0
+        if isinstance(s, list):
+            if min(s) < 0 or max(s) >= self.n_states:
+                raise IndexError(f"a state in {s} is out of range for {self.n_states} states")
+            return np.array(s)[:, None]
         if not 0 <= s < self.n_states:
             raise IndexError(f"state {s} out of range for a policy over {self.n_states} states")
         return s
 
-    def act(self, s: int) -> np.ndarray:
-        """Joint action mu(s) = (mu^1(s), ..., mu^N(s)), one fresh flat vector."""
+    def act(self, s) -> np.ndarray:
+        """Joint action mu(s) = (mu^1(s), ..., mu^N(s)), one fresh flat vector.
+
+        A list of T states gives the (T, n_total) rows act(s_k), bit for bit.
+        """
         a = self.params[self._w0 + self._state(s)]
         if self._b is not None:
             a += self.params[self._b]
@@ -143,14 +155,17 @@ class PolicySet:
                 j[n * self.n_states + p, p] = 1.0  # intercept
         return j
 
-    def jac_apply(self, s: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def jac_apply(self, s, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write J(s) @ x over the last axis of ``x`` into ``out``, J(s) = d mu(s) / d params.
 
         J(s) has one 1 per action coordinate (two in the affine form, at W and
         b) and zeros elsewhere, so it is applied as a scatter through the
-        index table; ``out`` must be zero in the parameter coordinates.
+        index table; ``out`` must be zero in the parameter coordinates.  For a
+        list of states, row k of ``out`` gets J(s_k) @ x[k].
         """
-        out[..., self._w0 + self._state(s)] = x
+        s = self._state(s)
+        rows = np.arange(len(out))[:, None] if isinstance(s, np.ndarray) else ...
+        out[rows, self._w0 + s] = x
         if self._b is not None:
             out[..., self._b] = x
         return out
@@ -225,3 +240,7 @@ class GaussianNoise:
         if self.sigma == 0.0:
             return a.copy()
         return a + self.sigma * rng.standard_normal(a.size)
+
+    def draw(self, rows: int, n: int, rng: np.random.Generator):
+        """``rows`` perturbations' noise as one (rows, n) block, same bits; None if sigma = 0."""
+        return None if self.sigma == 0.0 else self.sigma * rng.standard_normal((rows, n))

@@ -24,6 +24,7 @@ from netdac.dac import (
 )
 from netdac.env import ContinuousBandit, FiniteTestMdp, make_bandit, make_finite_mdp
 from netdac.errors import Diverged
+from netdac.linalg import stationary_distribution
 from netdac.network import GraphProcess, complete_graph, edgeless_graph, metropolis_weights
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
@@ -303,6 +304,14 @@ class TestEvaluatePolicyCost:
         dev = pol.theta[0] + pol.theta[1] - env.target
         want = float(dev @ env.cost @ dev)
         assert evaluate_policy_cost(env, pol) == pytest.approx(want, abs=1e-12)
+
+    def test_single_state_is_the_stationary_form(self):
+        # A single state skips the chain solve; the float must not move.
+        env = make_bandit(3, 2, seed=4)
+        pol = constant_policy(env.action_dims, [np.array([0.3, -1.2])] * 3)
+        d = stationary_distribution(env.transition_row(0, pol.act(0))[None, :])
+        want = float(-(d @ np.array([env.mean_reward(0, pol.act(0))])))
+        assert evaluate_policy_cost(env, pol) == want
 
     def test_hand_chain_exact(self):
         # J = 1 on the hand-solved chain, so the cost is -1.

@@ -13,7 +13,9 @@ most easily changes:
   evaluation, last-sample actor gradients, warm-started critics, path,
   star and edgeless graphs, and batches of one step;
 * a projection box of +-0.05 that binds (the default box never does) and
-  a single-agent run.
+  a single-agent run;
+* the edges of a batch-mode critic segment: link failures, sigma = 0, long
+  compatible batches on the finite MDP and batches of one step.
 
 Each field must equal the value in ``golden_rows.json`` exactly (JSON floats
 round-trip through ``repr``), so a change of one bit anywhere fails here.
@@ -151,6 +153,18 @@ CELLS.update(
         ),
         "n1-alg1-finite-mdp-compatible-online": base_config(
             "alg1", "finite-mdp", "compatible", "online", agents=1
+        ),
+        "fail-alg2-finite-mdp-fourier-batch": base_config(
+            "alg2", "finite-mdp", "fourier", "batch", topology="ring", failure_prob=0.3, **_LONG
+        ),
+        "sigma0-alg1-bandit-compatible-batch": base_config(
+            "alg1", "bandit", "compatible", "batch", sigma=0.0
+        ),
+        "long-alg1-finite-mdp-compatible-batch": base_config(
+            "alg1", "finite-mdp", "compatible", "batch", **_LONG
+        ),
+        "b1-alg2-bandit-compatible-batch": base_config(
+            "alg2", "bandit", "compatible", "batch", batch_size=1, batches=5
         ),
     }
 )

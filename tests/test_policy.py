@@ -87,6 +87,9 @@ class TestAffinePolicy:
                 pol.jac(0, s)
             with pytest.raises(IndexError, match=f"state {s} out of range"):
                 pol.jac_apply(s, np.ones(2), zeros)
+            # A list of per-row states is checked as a whole.
+            with pytest.raises(IndexError, match=rf"a state in \[0, {s}\] is out of range"):
+                pol.act([0, s])
         np.testing.assert_array_equal(zeros, 0.0)
         # The constant form ignores the state.
         const = constant_policy((2,))

@@ -1,7 +1,9 @@
 """Property tests for the flat joint action and the flat parameter vector at
 their edges (one agent, agents with different action dimensions, constant
-and affine policies), and for divergence detection in the training loops."""
+and affine policies), for the exact row forms and the frozen-actor critic
+segment built on them, and for divergence detection in the training loops."""
 
+import copy
 import re
 
 import numpy as np
@@ -12,11 +14,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdac.approx import CompatibleQFeatures, CompatibleRFeatures, FourierFeatures
-from netdac.dac import Schedule, _actor_direction, alg1_step, alg2_step, init_train_state
-from netdac.env import make_bandit, make_finite_mdp
+from netdac.approx import (
+    CompatibleQFeatures,
+    CompatibleRFeatures,
+    FourierFeatures,
+    TabularFeatures,
+)
+from netdac.dac import (
+    Schedule,
+    _actor_direction,
+    _critic_segment,
+    alg1_step,
+    alg2_step,
+    init_train_state,
+)
+from netdac.env import NetworkedMdp, make_bandit, make_finite_mdp
 from netdac.errors import Diverged
-from netdac.network import GraphProcess, complete_graph
+from netdac.network import GraphProcess, complete_graph, ring_graph
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -168,6 +182,123 @@ def test_eval_batch_rows_equal_eval(case, centered, bias, t):
 
 
 @_SETTINGS
+@given(
+    policy_cases(),
+    st.sampled_from(["q-centered", "q-plain", "r-bias", "fourier", "tabular"]),
+    st.integers(1, 6),
+)
+def test_eval_rows_equal_eval(case, family, t):
+    # Per-row states through the compatible maps' one scatter, and the base
+    # loop for the others: every row is eval's bytes, in a C-contiguous block.
+    pol, _, rng = case
+    if family == "fourier":
+        feats = FourierFeatures(pol.n_states, pol.action_dims, 5, seed=2)
+    elif family == "tabular":
+        feats = TabularFeatures(pol.n_states, pol.action_dims)
+    elif family == "r-bias":
+        feats = CompatibleRFeatures(pol, bias=True)
+    else:
+        feats = CompatibleQFeatures(pol, centered=family == "q-centered", bias=False)
+    states = [int(x) for x in rng.integers(0, pol.n_states, size=t)]
+    acts = list(rng.standard_normal((t, sum(pol.action_dims))))
+    got = feats.eval_rows(states, acts)
+    assert got.shape == (t, feats.dim) and got.flags.c_contiguous
+    for row, s, a in zip(got, states, acts):
+        assert row.tobytes() == feats.eval(s, a).tobytes()
+
+
+@_SETTINGS
+@given(st.integers(1, 10), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**16))
+def test_local_rewards_rows_equal_local_rewards(agents, m, t, seed):
+    rng = np.random.default_rng(seed)
+    for env in (make_bandit(agents, m, seed=seed), make_finite_mdp(3, agents, seed=seed)):
+        n = sum(env.action_dims)
+        states = [int(x) for x in rng.integers(0, env.state_count, size=t)]
+        acts = list(rng.normal(0.0, 3.0, size=(t, n)))
+        got = env.local_rewards_rows(states, acts)
+        assert got.shape == (t, agents)
+        for row, s, a in zip(got, states, acts):
+            assert row.tobytes() == env.local_rewards(s, a).tobytes()
+
+
+@st.composite
+def segment_cases(draw):
+    """(algorithm, env, features, graph process, schedule, noise, state) for a segment."""
+    algorithm = draw(st.sampled_from(["alg1", "alg2"]))
+    agents = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        env = make_bandit(agents, draw(st.integers(1, 2)), seed=draw(st.integers(0, 9)))
+        pol = constant_policy(env.action_dims)
+    else:
+        env = make_finite_mdp(3, agents, seed=draw(st.integers(0, 9)))
+        pol = affine_policy(env.state_count, env.action_dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pol.set_theta_flat(rng.uniform(-1.0, 1.0, pol.total_param_dim))
+    family = draw(st.sampled_from(["compatible", "fourier", "tabular"]))
+    if family == "fourier":
+        feats = FourierFeatures(env.state_count, env.action_dims, 4, seed=1)
+    elif family == "tabular":
+        feats = TabularFeatures(env.state_count, env.action_dims)
+    elif algorithm == "alg1":
+        feats = CompatibleQFeatures(pol, centered=draw(st.booleans()), bias=draw(st.booleans()))
+    else:
+        feats = CompatibleRFeatures(pol, bias=draw(st.booleans()))
+    failure = draw(st.sampled_from([0.0, 0.3]))
+    graph = ring_graph(agents) if agents > 2 else complete_graph(agents)
+    proc = GraphProcess(graph, failure, np.random.default_rng(5))
+    if draw(st.booleans()):
+        sch = Schedule("polynomial", critic=0.5, actor=0.05, critic_pow=0.6, actor_pow=0.9)
+    else:
+        sch = Schedule("constant", 0.2, 0.05)
+    noise = GaussianNoise(draw(st.sampled_from([0.0, 0.3])))
+    state = init_train_state(env, pol, feats, seed=3, algorithm=algorithm, exploration=noise)
+    step = alg1_step if algorithm == "alg1" else alg2_step
+    # A few steps first, so the segment starts at t > 0 with the policy moved,
+    # and (actor off last) with alg1's phi carried over.
+    warm_actor = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3))):
+        step(state, env, feats, proc, sch, noise, update_actor=warm_actor)
+    return algorithm, env, feats, proc, sch, noise, state
+
+
+def _snapshot(state, proc) -> list:
+    rngs = [state.rngs[k].bit_generator.state for k in sorted(state.rngs)]
+    phi = None if state.phi is None else state.phi.tobytes()
+    return [
+        state.critic.tobytes(),
+        state.jhat.tobytes(),
+        state.t,
+        state.s,
+        state.actions.tobytes(),
+        phi,
+        state.comm_scalars,
+        state.policy.params.tobytes(),
+        rngs,
+        proc.rng.bit_generator.state,
+    ]
+
+
+@_SETTINGS
+@given(segment_cases(), st.integers(1, 20))
+def test_segment_equals_one_step_calls(case, steps):
+    # One frozen-actor segment of T steps against T one-step calls on a copy
+    # of the same state: the same bytes in every field and every generator.
+    algorithm, env, feats, proc, sch, noise, state = case
+    # One deepcopy keeps the compatible maps' policy shared with the state's.
+    twin_state, twin_proc, twin_feats = copy.deepcopy((state, proc, feats))
+    step = alg1_step if algorithm == "alg1" else alg2_step
+    want_samples = []
+    for _ in range(steps):
+        want_samples.append((twin_state.s, twin_state.actions))
+        step(twin_state, env, twin_feats, twin_proc, sch, noise, update_actor=False)
+    samples = _critic_segment(state, env, feats, proc, sch, noise, False, algorithm, steps)
+    assert _snapshot(state, proc) == _snapshot(twin_state, twin_proc)
+    assert [(s, a.tobytes()) for s, a in samples] == [
+        (s, a.tobytes()) for s, a in want_samples
+    ]
+
+
+@_SETTINGS
 @given(policy_cases())
 def test_zero_sigma_perturb_copies_and_draws_nothing(case):
     pol, s, rng = case
@@ -193,6 +324,9 @@ class _RewardsTurnBad:
         self._calls += 1
         return r if self._calls <= self._start else np.full_like(r, self._bad)
 
+    # Row by row through the wrapper, so each row counts as one call.
+    local_rewards_rows = NetworkedMdp.local_rewards_rows
+
 
 @_SETTINGS
 @given(
@@ -200,8 +334,9 @@ class _RewardsTurnBad:
     st.booleans(),
     st.sampled_from([np.nan, np.inf, -np.inf]),
     st.integers(0, 40),
+    st.booleans(),
 )
-def test_bad_reward_raises_diverged_naming_critic_and_step(algorithm, bandit, bad, start):
+def test_bad_reward_raises_diverged_naming_critic_and_step(algorithm, bandit, bad, start, batch):
     env = make_bandit(2, 2, seed=1) if bandit else make_finite_mdp(3, 2, seed=1)
     env = _RewardsTurnBad(env, start, bad)
     if bandit:
@@ -217,9 +352,14 @@ def test_bad_reward_raises_diverged_naming_critic_and_step(algorithm, bandit, ba
     sch = Schedule("constant", 0.1, 0.01)
     state = init_train_state(env, pol, feats, seed=0, algorithm=algorithm, exploration=noise)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(Diverged) as err:
-        for _ in range(start + 17):
-            step(state, env, feats, proc, sch, noise)
+        if batch:
+            # One batch-mode segment takes all its rewards as one block first.
+            _critic_segment(state, env, feats, proc, sch, noise, False, algorithm, start + 17)
+        else:
+            for _ in range(start + 17):
+                step(state, env, feats, proc, sch, noise)
     # The step with index ``start`` reads the first bad reward; the critic is
     # the first iterate checked, and the check runs every 16 steps.
     assert start < state.t <= start + 16
     assert re.fullmatch(rf"critic magnitude \S+ at step {state.t}", str(err.value))
+

@@ -1,0 +1,133 @@
+"""Compare the training rows of two netdac source trees on random small configs.
+
+    python tools/compare_rows.py PARENT_SRC CHANGE_SRC --configs N [--seed S]
+
+Each tree runs in its own Python process (``PYTHONPATH=<tree>``) over the
+same N random configs: both algorithms, both environments, all feature maps,
+batch and online updates, every topology, link failures, polynomial
+schedules, rollout evaluation, binding projection boxes, and step sizes that
+diverge (critic steps x20 or x2000, actor steps x1e6 in a 1e12 box).  Every
+``MetricsRow`` field but the wall clock is compared bit for bit (as
+``float.hex``), and so is the message of any ``Diverged`` or other netdac
+error a run raises.  The script prints the first config that differs and
+exits 1, or prints a summary and exits 0 when all rows and messages agree.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+FIELDS = ("t", "batch", "eval_cost", "mean_jhat", "critic_disagreement", "actor_grad_norm")
+
+
+def random_config(seed: int, index: int) -> dict:
+    """Keyword arguments of ``RunConfig`` for config ``index`` of a comparison."""
+    import numpy as np
+
+    rng = np.random.default_rng([seed, index])
+
+    def pick(*options):
+        return options[int(rng.integers(len(options)))]
+
+    cfg = dict(
+        kind=pick("bandit", "finite-mdp"),
+        algorithm=pick("alg1", "alg2"),
+        agents=int(rng.integers(1, 5)),
+        action_dim=int(rng.integers(1, 4)),
+        states=int(rng.integers(2, 5)),
+        seeds=tuple(int(s) for s in rng.integers(0, 1000, size=int(rng.integers(1, 3)))),
+        env_seed=int(rng.integers(0, 100)),
+        schedule=pick("constant", "constant", "polynomial"),
+        critic_step=pick(0.05, 0.1, 0.3),
+        actor_step=pick(0.01, 0.05),
+        sigma=pick(0.0, 0.1, 0.3),
+        topology=pick("complete", "path", "ring", "star", "edgeless"),
+        failure_prob=pick(0.0, 0.0, 0.3),
+        features=pick("compatible", "compatible", "fourier", "tabular"),
+        feature_count=int(rng.integers(2, 7)),
+        feature_bias=pick(True, False),
+        feature_centered=pick(True, False),
+        feature_seed=int(rng.integers(0, 100)),
+        update_mode=pick("batch", "online"),
+        batch_size=int(rng.integers(1, 9)),
+        batches=int(rng.integers(1, 7)),
+        actor_grad=pick("batch-mean", "batch-mean", "last-sample"),
+        critic_warm_start=pick(True, False),
+        eval_rollout=pick(0, 0, 5),
+    )
+    if pick(True, False, False, False):
+        cfg.update(proj_lo=-0.05, proj_hi=0.05)
+    if index % 3 == 0:
+        cfg["critic_step"] *= pick(20.0, 2000.0)
+    elif index % 3 == 1 and pick(True, False):
+        cfg.update(actor_step=cfg["actor_step"] * 1e6, proj_lo=-1e12, proj_hi=1e12)
+    return cfg
+
+
+def run_configs(seed: int, count: int):
+    """Yield one JSON-ready outcome per config, from the netdac on ``sys.path``."""
+    import numpy as np
+
+    from netdac.config import RunConfig
+    from netdac.dac import run_experiment
+    from netdac.errors import NetdacError
+
+    for index in range(count):
+        cfg = RunConfig(**random_config(seed, index))
+        try:
+            with np.errstate(all="ignore"):
+                rows = run_experiment(cfg)
+        except NetdacError as exc:
+            yield {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        yield {
+            "rows": [
+                [v.hex() if isinstance(v, float) else v for v in (getattr(r, f) for f in FIELDS)]
+                for r in rows
+            ]
+        }
+
+
+def _worker_outcomes(src: str, seed: int, count: int) -> list:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--seed", str(seed)]
+    out = subprocess.run(
+        cmd + ["--configs", str(count)], env=env, capture_output=True, text=True, check=True
+    )
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", nargs="?", help="source tree of the parent (its src/)")
+    parser.add_argument("change", nargs="?", help="source tree of the change (its src/)")
+    parser.add_argument("--configs", type=int, default=600)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        for outcome in run_configs(args.seed, args.configs):
+            print(json.dumps(outcome), flush=True)
+        return 0
+    if not (args.parent and args.change):
+        parser.error("PARENT_SRC and CHANGE_SRC are required")
+    parent = _worker_outcomes(args.parent, args.seed, args.configs)
+    change = _worker_outcomes(args.change, args.seed, args.configs)
+    if len(parent) != len(change):
+        print(f"parent gave {len(parent)} outcomes, change {len(change)}")
+        return 1
+    for index, (a, b) in enumerate(zip(parent, change)):
+        if a != b:
+            print(f"config {index} differs: {random_config(args.seed, index)}")
+            print(f"  parent: {a}")
+            print(f"  change: {b}")
+            return 1
+    diverged = sum("error" in a for a in parent)
+    print(f"{len(parent)} configs identical ({diverged} raised, with identical messages)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
