@@ -15,7 +15,9 @@ most easily changes:
 * a projection box of +-0.05 that binds (the default box never does) and
   a single-agent run;
 * the edges of a batch-mode critic segment: link failures, sigma = 0, long
-  compatible batches on the finite MDP and batches of one step.
+  compatible batches on the finite MDP and batches of one step;
+* a wide Fourier map (20 features on 8 states): every other cell has 4
+  features, below the 16-wide unroll of numpy's dot kernels.
 
 Each field must equal the value in ``golden_rows.json`` exactly (JSON floats
 round-trip through ``repr``), so a change of one bit anywhere fails here.
@@ -165,6 +167,9 @@ CELLS.update(
         ),
         "b1-alg2-bandit-compatible-batch": base_config(
             "alg2", "bandit", "compatible", "batch", batch_size=1, batches=5
+        ),
+        "wide-alg2-finite-mdp-fourier-online": base_config(
+            "alg2", "finite-mdp", "fourier", "online", states=8, feature_count=20, **_LONG
         ),
     }
 )
