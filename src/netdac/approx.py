@@ -157,8 +157,15 @@ class FourierFeatures(FeatureMap):
         rng = np.random.default_rng(seed)
         self._w = scale * rng.standard_normal((self.dim, self.n_states + self._n_total))
         self._b = rng.uniform(0.0, 2.0 * np.pi, size=self.dim)
-        cols = self.n_states + np.cumsum((0,) + self.action_dims)
-        self._agent_cols = tuple(map(slice, cols[:-1], cols[1:]))
+        # Per action dimension n: its agents, their flat positions, (K, n) slabs.
+        self._slab_groups = []
+        for n in dict.fromkeys(self.action_dims):
+            agents = [i for i, d in enumerate(self.action_dims) if d == n]
+            flat = np.flatnonzero(np.repeat(self.action_dims, self.action_dims) == n)
+            slabs = self._w[:, self.n_states + flat].reshape(self.dim, len(agents), n)
+            if len(agents) == len(self.action_dims):  # one group: index by views
+                flat = agents = slice(None)
+            self._slab_groups.append((flat, agents, slabs.transpose(1, 0, 2).copy()))
 
     def _input(self, s, actions) -> np.ndarray:
         if not 0 <= s < self.n_states:
@@ -175,16 +182,16 @@ class FourierFeatures(FeatureMap):
         return np.cos(self._w @ self._input(s, actions) + self._b)
 
     def grad_action(self, s, actions, critic) -> np.ndarray:
-        sin = np.sin(self._w @ self._input(s, actions) + self._b)
-        # d cos(w.x + b)/d a^i_j = -sin(w.x + b) * w[:, col j].  One product
-        # per agent on this transposed layout: a joint product, or slices of
-        # one, sums in another order and moves the last bits.
-        return np.concatenate(
-            [
-                -(self._w[:, cols] * sin[:, None]).T @ row
-                for cols, row in zip(self._agent_cols, critic)
-            ]
-        )
+        # d cos(w.x + b)/d a^i_j = -sin(w.x + b) * w[:, col j].  The stacked
+        # product makes the dot/gemv call of -(W[:, cols_i] * sin).T @ critic[i]
+        # per agent; (n, K) slabs, or mixed dimensions zero-padded to one
+        # stack, sum in another order and move the last bits.
+        neg_sin = -np.sin(self._w @ self._input(s, actions) + self._b)
+        out = np.empty(self._n_total)
+        for flat, agents, slabs in self._slab_groups:
+            scaled = (slabs * neg_sin[:, None]).transpose(0, 2, 1)
+            out[flat] = np.matmul(scaled, critic[agents, :, None]).ravel()
+        return out
 
     def eval_batch(self, s, flat_actions) -> np.ndarray:
         flat_actions = np.asarray(flat_actions, dtype=float)

@@ -11,6 +11,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .network import check_failure_prob
 
 __all__ = ["RunConfig", "MetricsRow", "load_config", "parse_config", "serialize_config"]
 
@@ -93,8 +94,7 @@ class RunConfig:
             raise ConfigError(f"unknown topology {self.topology!r}")
         if base == "edgelist" and ":" not in self.topology:
             raise ConfigError("edgelist topology needs a path: edgelist:<path>")
-        if not 0.0 <= self.failure_prob < 1.0:
-            raise ConfigError("failure_prob must lie in [0, 1)")
+        check_failure_prob(self.failure_prob, ConfigError)
         if self.features not in _FEATURES:
             raise ConfigError(f"features must be one of {_FEATURES}, got {self.features!r}")
         if self.features == "fourier" and self.feature_count < 1:

@@ -142,11 +142,19 @@ class TrainState:
     actions: np.ndarray  # flat joint action to be executed at time t
     rngs: dict  # "env" and the algorithm's action stream, by sub-stream label
     algorithm: str = "alg1"
-    last_actor_grad_norm: float = 0.0
+    actor_direction: np.ndarray = None  # g of the segment's actor step, if it took one
     comm_scalars: int = 0  # simulated network traffic, in scalars sent
     # phi(s, actions) under the current policy, or None: alg1 carries it from
     # step to step, and an actor update clears it (features may use theta).
     phi: np.ndarray = None
+
+    @property
+    def last_actor_grad_norm(self) -> float:
+        """|g| of the last actor step, or 0.0: computed when read, once per evaluation row."""
+        g = self.actor_direction
+        # Agent norms added in agent order: one flat dot over g sums differently.
+        blocks = () if g is None else self.policy.param_blocks
+        return float(np.sqrt(sum(float(g[b] @ g[b]) for b in blocks)))
 
     def check_finite(self) -> None:
         """Raise Diverged naming the first iterate that is non-finite or too large."""
@@ -202,13 +210,12 @@ def _actor_direction(
     return policy.jac_apply(s, gq, np.zeros(policy.total_param_dim))
 
 
-def _actor_step(state: TrainState, g: np.ndarray, beta_th: float) -> float:
-    """params <- proj[params + beta_th g]; returns |g|, summed agent by agent."""
+def _actor_step(state: TrainState, g: np.ndarray, beta_th: float) -> None:
+    """params <- proj[params + beta_th g]; keeps g for ``last_actor_grad_norm``."""
     policy = state.policy
     policy.params[:] = project_box(policy.params + beta_th * g, policy.lo, policy.hi)
     state.phi = None
-    # Agent norms added in agent order: one flat dot over g sums differently.
-    return float(np.sqrt(sum(float(g[b] @ g[b]) for b in policy.param_blocks)))
+    state.actor_direction = g
 
 
 def _critic_segment(
@@ -247,7 +254,7 @@ def _critic_segment(
     if alg1:
         state.phi = phis[-1]
 
-    grad_norm = 0.0
+    state.actor_direction = None
     for k in range(steps):
         w, phi, r, beta_w = state.critic, phis[k], rewards[k], schedule.beta_critic(t)
         if alg1:
@@ -260,7 +267,7 @@ def _critic_segment(
             # alg2 takes the actor gradient at the on-policy action mu_theta(s_t).
             a_grad = acts[0] if alg1 else policy.act(states[0])
             g = _actor_direction(policy, features, w, states[0], a_grad)
-            grad_norm = _actor_step(state, g, schedule.beta_actor(t))
+            _actor_step(state, g, schedule.beta_actor(t))
         c = process.sample_weights()
         state.critic = c @ w_tilde
         sent = features.dim * process.directed_edge_count(c)
@@ -271,7 +278,6 @@ def _critic_segment(
     if not alg1:
         # The next behavior action is drawn around the post-update policy.
         acts.append(next_action(steps - 1))
-    state.last_actor_grad_norm = grad_norm
     state.s, state.actions = states[-1], acts[-1]
     return list(zip(states, acts[:steps]))
 
@@ -389,8 +395,8 @@ def _batch_actor_update(
     samples: list,
     batch_index: int,
     config: RunConfig,
-) -> float:
-    """One actor update from a finished batch; returns the gradient norm."""
+) -> None:
+    """One actor update from a finished batch."""
     policy = state.policy
     if config.actor_grad == "last-sample":
         samples = samples[-1:]
@@ -405,9 +411,8 @@ def _batch_actor_update(
     else:
         for s, acts in samples:
             g += _actor_direction(policy, features, state.critic, s, acts)
-    grad_norm = _actor_step(state, g / len(samples), schedule.beta_actor(batch_index))
+    _actor_step(state, g / len(samples), schedule.beta_actor(batch_index))
     state.check_finite()
-    return grad_norm
 
 
 def run_experiment(config: RunConfig, seed: int = None) -> list:
@@ -444,7 +449,7 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
     eval_rng = substream(seed, "eval") if config.eval_rollout > 0 else None
     start = time.perf_counter()
 
-    def eval_row(batch: int, grad_norm: float) -> MetricsRow:
+    def eval_row(batch: int) -> MetricsRow:
         cost = evaluate_policy_cost(mdp, policy, config.eval_rollout, eval_rng)
         if config.algorithm == "alg1":
             mean_jhat = float(state.jhat.mean())
@@ -463,11 +468,11 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
             eval_cost=cost,
             mean_jhat=mean_jhat,
             critic_disagreement=dis,
-            actor_grad_norm=grad_norm,
+            actor_grad_norm=state.last_actor_grad_norm,
             wallclock_ms=int((time.perf_counter() - start) * 1000),
         )
 
-    rows = [eval_row(0, 0.0)]
+    rows = [eval_row(0)]
     batch_size = config.effective_batch_size
     if config.update_mode == "batch":
         for b in range(1, config.batches + 1):
@@ -477,11 +482,11 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
                 state, mdp, features, process, schedule, exploration, False, config.algorithm,
                 steps=batch_size,
             )
-            grad_norm = _batch_actor_update(state, features, schedule, samples, b - 1, config)
-            rows.append(eval_row(b, grad_norm))
+            _batch_actor_update(state, features, schedule, samples, b - 1, config)
+            rows.append(eval_row(b))
     else:
         for t in range(config.batches * batch_size):
             step_fn(state, mdp, features, process, schedule, exploration, update_actor=True)
             if (t + 1) % batch_size == 0:
-                rows.append(eval_row((t + 1) // batch_size, state.last_actor_grad_norm))
+                rows.append(eval_row((t + 1) // batch_size))
     return rows

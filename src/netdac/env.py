@@ -41,10 +41,12 @@ The ``*_rows`` forms are exact: row k is the single-action call, bit for bit.
 The ``*_batch`` forms agree to roundoff only: each keeps its own order of
 summation, and training outputs depend on the single-action arithmetic
 (sums over agents run in agent order).  :meth:`NetworkedMdp.transition` is
-the one concrete sampler, by inverse CDF on ``transition_row``.
+the one concrete sampler: inverse CDF on ``transition_row`` by bisection.
 """
 
 import abc
+import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,9 +120,9 @@ class NetworkedMdp(abc.ABC):
         """
         if self.state_count == 1:
             return 0
-        cdf = np.cumsum(self.transition_row(s, actions))
+        cdf = list(itertools.accumulate(self.transition_row(s, actions).tolist()))
         u = rng.random() * cdf[-1]
-        return int(min(np.searchsorted(cdf, u, side="right"), self.state_count - 1))
+        return min(bisect.bisect_right(cdf, u), self.state_count - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +250,9 @@ def make_bandit(agents: int, action_dim: int, seed: int = 0) -> ContinuousBandit
 
 
 def _sigmoid(u: float) -> float:
-    # Clamp to avoid overflow in exp for extreme action sums.
-    u = np.clip(u, -60.0, 60.0)
-    return 1.0 / (1.0 + np.exp(-u))
+    # Clamped against overflow with np.clip's bits.  Never math.exp: it differs
+    # from np.exp in the last bit on about 2% of arguments.
+    return 1.0 / (1.0 + np.exp(-min(max(u, -60.0), 60.0)))
 
 
 @dataclass

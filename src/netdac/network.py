@@ -29,6 +29,7 @@ __all__ = [
     "load_edge_list",
     "metropolis_weights",
     "GraphProcess",
+    "check_failure_prob",
     "ConsensusReport",
     "check_assumption_random_matrices",
 ]
@@ -157,6 +158,12 @@ def metropolis_weights(graph: CommGraph) -> np.ndarray:
     return c
 
 
+def check_failure_prob(p: float, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``p`` is a valid link-failure probability, in [0, 1)."""
+    if not 0.0 <= p < 1.0:
+        raise error("failure_prob must lie in [0, 1)")
+
+
 @dataclass
 class GraphProcess:
     """Random weight-matrix sequence over a fixed base graph.
@@ -175,8 +182,7 @@ class GraphProcess:
     base_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.failure_prob < 1.0:
-            raise ValueError("failure_prob must lie in [0, 1)")
+        check_failure_prob(self.failure_prob)
         if self.rng is None:
             self.rng = np.random.default_rng(0)
         self.base_weights = metropolis_weights(self.base)
@@ -194,9 +200,9 @@ class GraphProcess:
             return self.base_weights
         c = self.base_weights.copy()
         rng = rng or self.rng
-        keep = rng.random(len(self._edges)) >= self.failure_prob
-        for (i, j), k in zip(self._edges, keep):
-            if not k:
+        # Python floats: a numpy scalar per edge, or np.flatnonzero, costs more.
+        for (i, j), u in zip(self._edges, rng.random(len(self._edges)).tolist()):
+            if u < self.failure_prob:  # the edge fails
                 c[i, i] += c[i, j]
                 c[j, j] += c[j, i]
                 c[i, j] = c[j, i] = 0.0

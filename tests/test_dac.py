@@ -1,6 +1,7 @@
 """Training loops: hand-traced steps, recurrence replay, fixed points,
 run bookkeeping, and divergence detection."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -15,9 +16,13 @@ from netdac.approx import (
 from netdac.config import RunConfig
 from netdac.dac import (
     Schedule,
+    _actor_direction,
     alg1_step,
     alg2_step,
+    build_features,
     build_graph,
+    build_mdp,
+    build_policy,
     evaluate_policy_cost,
     init_train_state,
     run_experiment,
@@ -27,6 +32,7 @@ from netdac.errors import Diverged
 from netdac.linalg import stationary_distribution
 from netdac.network import GraphProcess, complete_graph, edgeless_graph, metropolis_weights
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
+from netdac.seeding import substream
 
 
 def _unit_bandit(theta=1.0):
@@ -435,6 +441,47 @@ class TestRunExperiment:
         rows = run_experiment(cfg, 0)
         assert len(rows) == 5
         assert rows[-1].t == 40
+
+    def test_sigma0_alg1_bandit_is_degenerate(self):
+        # The paper's claim: without exploration the on-policy algorithm is
+        # degenerate.  Centered compatible features vanish at a = mu(s), so
+        # the critic's action block stays zero and theta never moves.
+        cfg = self.base_config(sigma=0.0, batches=20)
+        for mode in ("batch", "online"):
+            rows = run_experiment(dataclasses.replace(cfg, update_mode=mode), 0)
+            assert [r.actor_grad_norm for r in rows] == [0.0] * 21
+            assert {r.eval_cost for r in rows} == {rows[0].eval_cost}
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_online_row_norm_is_its_last_steps_direction(self, algorithm):
+        # An online row reports |g| of the step that ends its batch, agent
+        # norms added in agent order, with g replayed from the state before
+        # that step.
+        cfg = self.base_config(
+            kind="finite-mdp", algorithm=algorithm, states=4, features="fourier",
+            feature_count=20, update_mode="online", batch_size=5, batches=4,
+            topology="ring", failure_prob=0.3,
+        )
+        rows = run_experiment(cfg, 0)
+        mdp = build_mdp(cfg)
+        pol = build_policy(cfg, mdp)
+        feats = build_features(cfg, mdp, pol)
+        proc = GraphProcess(build_graph(cfg), cfg.failure_prob, substream(0, "graph"))
+        sch = Schedule(cfg.schedule, cfg.critic_step, cfg.actor_step)
+        noise = GaussianNoise(cfg.sigma)
+        state = init_train_state(mdp, pol, feats, seed=0, algorithm=algorithm, exploration=noise)
+        step = alg1_step if algorithm == "alg1" else alg2_step
+        ends = np.cumsum((0,) + pol.param_dims)
+        want = []
+        for t in range(1, 21):
+            a = state.actions if algorithm == "alg1" else pol.act(state.s)
+            g = _actor_direction(pol, feats, state.critic, state.s, a)
+            step(state, mdp, feats, proc, sch, noise)
+            if t % 5 == 0:
+                blocks = [g[i:j] for i, j in zip(ends[:-1], ends[1:])]
+                want.append(float(np.sqrt(sum(float(b @ b) for b in blocks))))
+        assert [r.actor_grad_norm for r in rows[1:]] == want
+        assert min(want) > 0.0
 
     def test_batch_restart_zeroes_critic(self):
         # With warm start the critic carries over; the two modes must differ.

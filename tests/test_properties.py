@@ -1,7 +1,8 @@
 """Property tests for the flat joint action and the flat parameter vector at
 their edges (one agent, agents with different action dimensions, constant
 and affine policies), for the exact row forms and the frozen-actor critic
-segment built on them, and for divergence detection in the training loops."""
+segment built on them, for the finite MDP's transition sampler, and for
+divergence detection in the training loops."""
 
 import copy
 import re
@@ -28,9 +29,15 @@ from netdac.dac import (
     alg2_step,
     init_train_state,
 )
-from netdac.env import NetworkedMdp, make_bandit, make_finite_mdp
+from netdac.env import NetworkedMdp, _sigmoid, make_bandit, make_finite_mdp
 from netdac.errors import Diverged
-from netdac.network import GraphProcess, complete_graph, ring_graph
+from netdac.network import (
+    CommGraph,
+    GraphProcess,
+    complete_graph,
+    metropolis_weights,
+    ring_graph,
+)
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -132,11 +139,12 @@ def _fourier_agent_grads(feats, s, a, critic):
 
 
 @_SETTINGS
-@given(policy_cases(), st.sampled_from(["compatible", "fourier"]))
-def test_flat_actor_direction_is_per_agent_jacobian_product(case, family):
+@given(policy_cases(), st.sampled_from(["compatible", "fourier"]), st.integers(1, 40))
+def test_flat_actor_direction_is_per_agent_jacobian_product(case, family, k):
     # Each agent's critic action-gradient is one dense product under its own
     # weights (compatible: jac(i, s).T on its weight block); the joint
-    # gradient and the actor direction must match them bitwise.
+    # gradient and the actor direction must match them bitwise.  Fourier
+    # widths K run across the dot kernels' 16-wide unroll.
     pol, s, rng = case
     a = rng.standard_normal(sum(pol.action_dims))
     if family == "compatible":
@@ -148,7 +156,7 @@ def test_flat_actor_direction_is_per_agent_jacobian_product(case, family):
             for i in range(pol.agent_count)
         ]
     else:
-        feats = FourierFeatures(pol.n_states, pol.action_dims, 16, seed=1)
+        feats = FourierFeatures(pol.n_states, pol.action_dims, k, seed=1)
         critic = rng.standard_normal((pol.agent_count, feats.dim))
         grads = _fourier_agent_grads(feats, s, a, critic)
     assert feats.grad_action(s, a, critic).tobytes() == np.concatenate(grads).tobytes()
@@ -296,6 +304,71 @@ def test_segment_equals_one_step_calls(case, steps):
     assert [(s, a.tobytes()) for s, a in samples] == [
         (s, a.tobytes()) for s, a in want_samples
     ]
+
+
+def _clip_sigmoid(u):
+    """The logistic gate in its np.clip form."""
+    return 1.0 / (1.0 + np.exp(-np.clip(u, -60.0, 60.0)))
+
+
+@_SETTINGS
+@given(st.floats(-70.0, 70.0), st.integers(0, 2**16))
+def test_sigmoid_is_the_clip_form(u, seed):
+    us = np.concatenate([[u, -60.0, 60.0, -0.0], np.random.default_rng(seed).uniform(-70, 70, 500)])
+    for v in us.tolist():
+        assert np.float64(_sigmoid(v)).tobytes() == np.float64(_clip_sigmoid(v)).tobytes()
+
+
+@_SETTINGS
+@given(st.integers(2, 8), st.floats(0.05, 0.95), st.integers(0, 2**16))
+def test_link_failures_fold_in_edge_order(n, p, seed):
+    # Each failed edge's weight moves onto its two diagonals, edge by edge in
+    # edge order, on random graphs whose Metropolis weights differ by edge.
+    rng = np.random.default_rng(seed)
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6)
+    proc = GraphProcess(CommGraph(n, edges), p, np.random.default_rng([seed, 1]))
+    want_rng = np.random.default_rng([seed, 1])
+    for _ in range(10):
+        want = metropolis_weights(proc.base)
+        for (i, j), r in zip(edges, want_rng.random(len(edges))):
+            if r < p:
+                want[i, i] += want[i, j]
+                want[j, j] += want[j, i]
+                want[i, j] = want[j, i] = 0.0
+        assert proc.sample_weights().tobytes() == want.tobytes()
+
+
+class _FixedDraw:
+    """A generator stand-in whose ``random()`` returns one given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@_SETTINGS
+@given(st.integers(2, 9), st.integers(1, 10), st.floats(-90.0, 90.0), st.integers(0, 2**16))
+def test_transition_draws_the_cumsum_searchsorted_state(states, agents, total, seed):
+    # The same next states from the same generator stream as inverse-CDF
+    # sampling with np.cumsum and searchsorted(side="right") on the gate's
+    # np.clip form; action sums beyond +-60 make the clamp bind.  Draws that
+    # land on a CDF value (and on its end) pin the side and the last state.
+    env = make_finite_mdp(states, agents, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    for step in range(20):
+        a = total / agents + rng.standard_normal(agents)
+        s = step % states
+        g = _clip_sigmoid(float(np.add.accumulate(a)[-1]))
+        cdf = np.cumsum((1.0 - g) * env.p0[s] + g * env.p1[s])
+        ends = [(c / cdf[-1], _FixedDraw(c / cdf[-1])) for c in cdf]
+        for draw, gen in [(want_rng.random(), got_rng)] + ends:
+            want = int(min(np.searchsorted(cdf, draw * cdf[-1], side="right"), states - 1))
+            got = env.transition(s, a, gen)
+            assert type(got) is int and got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @_SETTINGS
