@@ -3,11 +3,12 @@
 Each case solves one small instance and hashes the bytes of every output
 array (sha256, in field order); the digests in ``golden_oracle.json`` must
 match exactly.  The cases cover exact evaluation and the exact policy
-gradient on an affine-policy MDP, the on-policy fixed point with Fourier
-features, the off-policy fixed point with compatible reward features (bias
-on and off; Gauss-Hermite order 9 and the Monte-Carlo branch; a bandit and
-a finite MDP) and the score-function gradient on a bandit and on an
-affine-policy MDP.
+gradient on an affine-policy MDP (also at 20 states and 10 agents), the
+exact policy gradient with one agent and on a 10-agent bandit, the
+on-policy fixed point with Fourier features, the off-policy fixed point
+with compatible reward features (bias on and off; Gauss-Hermite order 9
+and the Monte-Carlo branch; a bandit and a finite MDP) and the
+score-function gradient on a bandit and on an affine-policy MDP.
 
 Memory layout matters, not only values: the oracles multiply feature
 batches with BLAS, which sums in a different order for row- and
@@ -75,6 +76,11 @@ def _pg(case, samples):
 CASES = {
     "exact_eval": lambda: oracle.exact_eval(*_mdp_case()),
     "exact_policy_gradient": lambda: oracle.exact_policy_gradient(*_mdp_case()),
+    "exact_policy_gradient_s20_n10": lambda: oracle.exact_policy_gradient(*_mdp_case(20, 10)),
+    "exact_policy_gradient_one_agent": lambda: oracle.exact_policy_gradient(
+        *_constant_mdp_case(4, 1)
+    ),
+    "exact_policy_gradient_bandit": lambda: oracle.exact_policy_gradient(*_bandit_case(10, 20)),
     "mspbe_fixed_point": _mspbe,
     "offpolicy_bandit_bias_q9": lambda: _offpolicy(_bandit_case, True, _Q9),
     "offpolicy_bandit_nobias_q9": lambda: _offpolicy(_bandit_case, False, _Q9),
