@@ -89,8 +89,6 @@ def _run_seed(args) -> list:
 
 def _cmd_run(config_path: str) -> int:
     config = load_config(config_path)
-    if config.kind == "verify":
-        return _cmd_verify(fault_inject=None, output="verify_report.txt")
     workers = max(1, int(os.environ.get("NETDAC_MAX_WORKERS", "1")))
     rows = []
     try:

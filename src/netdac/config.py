@@ -12,16 +12,23 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .network import check_failure_prob
+from .policy import check_box
 
 __all__ = ["RunConfig", "MetricsRow", "load_config", "parse_config", "serialize_config"]
 
-_KINDS = ("bandit", "finite-mdp", "verify")
+_KINDS = ("bandit", "finite-mdp")
 _ALGORITHMS = ("alg1", "alg2")
 _SCHEDULES = ("constant", "polynomial")
 _FEATURES = ("compatible", "fourier", "tabular")
 _UPDATE_MODES = ("batch", "online")
 _ACTOR_GRADS = ("batch-mean", "last-sample")
 _TOPOLOGIES = ("complete", "path", "ring", "star", "edgeless")
+
+
+def check_polynomial_powers(critic_pow: float, actor_pow: float, error: type = ValueError) -> None:
+    """Raise ``error`` unless 0.5 < critic_pow < actor_pow <= 1 (actor strictly slower)."""
+    if not 0.5 < critic_pow < actor_pow <= 1.0:
+        raise error("polynomial schedule needs 0.5 < critic_pow < actor_pow <= 1")
 
 
 @dataclass(frozen=True)
@@ -81,12 +88,8 @@ class RunConfig:
             raise ConfigError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
         if self.critic_step < 0 or self.actor_step < 0:
             raise ConfigError("step sizes must be non-negative")
-        if self.schedule == "polynomial" and not (
-            0.5 < self.critic_pow < self.actor_pow <= 1.0
-        ):
-            raise ConfigError(
-                "polynomial schedule requires 0.5 < critic_pow < actor_pow <= 1"
-            )
+        if self.schedule == "polynomial":
+            check_polynomial_powers(self.critic_pow, self.actor_pow, ConfigError)
         if self.sigma < 0:
             raise ConfigError("sigma must be non-negative")
         base = self.topology.split(":", 1)[0]
@@ -107,8 +110,7 @@ class RunConfig:
             raise ConfigError("batches must be >= 0")
         if self.actor_grad not in _ACTOR_GRADS:
             raise ConfigError(f"actor_grad must be one of {_ACTOR_GRADS}")
-        if self.proj_lo > self.proj_hi:
-            raise ConfigError("projection box is empty (proj_lo > proj_hi)")
+        check_box(self.proj_lo, self.proj_hi, ConfigError)
         if self.eval_rollout < 0:
             raise ConfigError("eval_rollout must be >= 0")
 

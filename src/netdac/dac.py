@@ -61,7 +61,7 @@ from .approx import (
     FourierFeatures,
     TabularFeatures,
 )
-from .config import MetricsRow, RunConfig
+from .config import MetricsRow, RunConfig, check_polynomial_powers
 from .env import NetworkedMdp, make_bandit, make_finite_mdp
 from .errors import ConfigError, Diverged
 from .linalg import project_box, stationary_distribution
@@ -114,10 +114,8 @@ class Schedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.critic < 0 or self.actor < 0:
             raise ValueError("step-size scales must be non-negative")
-        if self.mode == "polynomial" and not (
-            0.5 < self.critic_pow < self.actor_pow <= 1.0
-        ):
-            raise ValueError("polynomial schedule needs 0.5 < critic_pow < actor_pow <= 1")
+        if self.mode == "polynomial":
+            check_polynomial_powers(self.critic_pow, self.actor_pow)
 
     def beta_critic(self, t: int) -> float:
         if self.mode == "constant":

@@ -33,9 +33,9 @@ actions is a ``(T, n_total)`` array of such rows.
 * batch of joint actions — ``mean_reward_batch`` (shape ``(T,)``) and
   ``transition_row_batch`` (shape ``(T, S)``), used by the quadrature and
   Monte-Carlo oracles;
-* analytic action gradients for agent i — ``reward_grad_action`` (d Rbar /
-  d a^i, shape ``(n_i,)``) and ``transition_grad_action`` (d P(.|s, a) /
-  d a^i, shape ``(n_i, S)``), used by the exact policy gradient.
+* joint action gradients, flat ``(n_total,)`` — ``reward_grad_action`` (d Rbar /
+  d a) and ``transition_grad_action`` (d (P(.|s, a) . values) / d a for a value
+  vector over next states), used by the exact policy gradient.
 
 The ``*_rows`` forms are exact: row k is the single-action call, bit for bit.
 The ``*_batch`` forms agree to roundoff only: each keeps its own order of
@@ -65,7 +65,7 @@ __all__ = [
 
 
 class NetworkedMdp(abc.ABC):
-    """Interface every environment implements (see the module docstring).
+    """Interface every environment implements, over joint actions only (see the module docstring).
 
     Attributes
     ----------
@@ -102,12 +102,12 @@ class NetworkedMdp(abc.ABC):
         """Transition rows over a (T, n_total) batch, shape (T, state_count)."""
 
     @abc.abstractmethod
-    def reward_grad_action(self, i: int, s: int, actions) -> np.ndarray:
-        """Gradient of the averaged reward w.r.t. agent i's action, shape (n_i,)."""
+    def reward_grad_action(self, s: int, actions) -> np.ndarray:
+        """d Rbar(s, a) / d a over the joint action, flat (n_total,)."""
 
     @abc.abstractmethod
-    def transition_grad_action(self, i: int, s: int, actions) -> np.ndarray:
-        """Jacobian of the transition row w.r.t. agent i's action, shape (n_i, S)."""
+    def transition_grad_action(self, s: int, actions, values) -> np.ndarray:
+        """d (P(.|s, a) . values) / d a for a (state_count,) vector, flat (n_total,)."""
 
     def local_rewards_rows(self, states, flat_actions) -> np.ndarray:
         """Row k is ``local_rewards(states[k], flat_actions[k])`` bit for bit; shape (T, N)."""
@@ -204,11 +204,11 @@ class ContinuousBandit(NetworkedMdp):
     def transition_row_batch(self, s, flat_actions: np.ndarray) -> np.ndarray:
         return np.ones((len(flat_actions), 1))
 
-    def reward_grad_action(self, i, s, actions) -> np.ndarray:
-        return bandit_reward_grad(self, actions, i)
+    def reward_grad_action(self, s, actions) -> np.ndarray:
+        return np.tile(bandit_reward_grad(self, actions, 0), self.agent_count)
 
-    def transition_grad_action(self, i, s, actions) -> np.ndarray:
-        return np.zeros((self.action_dim, 1))
+    def transition_grad_action(self, s, actions, values) -> np.ndarray:
+        return np.zeros(self.agent_count * self.action_dim)
 
 
 def bandit_reward(env: ContinuousBandit, actions) -> float:
@@ -306,6 +306,8 @@ class FiniteTestMdp(NetworkedMdp):
                 raise DimensionMismatch(f"{name} must have shape ({n}, {s})")
         if self.coef.shape != (n, n):
             raise DimensionMismatch(f"coef must have shape ({n}, {n})")
+        # Row i is column i of coef, contiguous: its mean is a 1-D reduction.
+        self._coef_t = np.ascontiguousarray(self.coef.T)
 
     @property
     def state_count(self) -> int:
@@ -333,10 +335,10 @@ class FiniteTestMdp(NetworkedMdp):
         g = 1.0 / (1.0 + np.exp(-u))
         return np.outer(1.0 - g, self.p0[s]) + np.outer(g, self.p1[s])
 
-    def transition_grad_action(self, i, s, actions) -> np.ndarray:
-        """Jacobian of the transition row w.r.t. agent i's action, shape (1, S)."""
+    def transition_grad_action(self, s, actions, values) -> np.ndarray:
+        """Every agent's action enters through the gate's sum: one dot, shape (N,)."""
         g = self._gate(actions)
-        return (g * (1.0 - g) * (self.p1[s] - self.p0[s]))[None, :]
+        return np.full(self.agent_count, (g * (1.0 - g) * (self.p1[s] - self.p0[s])) @ values)
 
     def local_rewards(self, s, actions) -> np.ndarray:
         z = self.offset[:, s] + self.coef @ actions
@@ -351,12 +353,10 @@ class FiniteTestMdp(NetworkedMdp):
         vals = self.base[:, s][None, :] + self.amp[:, s][None, :] * np.tanh(z)
         return vals.mean(axis=1)
 
-    def reward_grad_action(self, i, s, actions) -> np.ndarray:
-        """d Rbar / d a^i, shape (1,)."""
+    def reward_grad_action(self, s, actions) -> np.ndarray:
+        """d Rbar / d a^i = mean_j amp[j, s] sech^2(z_j) coef[j, i], shape (N,)."""
         z = self.offset[:, s] + self.coef @ actions
-        sech2 = 1.0 - np.tanh(z) ** 2
-        g = float(np.mean(self.amp[:, s] * sech2 * self.coef[:, i]))
-        return np.array([g])
+        return np.mean(self.amp[:, s] * (1.0 - np.tanh(z) ** 2) * self._coef_t, axis=1)
 
 
 def make_finite_mdp(states: int, agents: int, seed: int = 0) -> FiniteTestMdp:

@@ -10,8 +10,8 @@ simulation:
   differential (bias) values of a deterministic policy, via one dense solve
   of the average-reward evaluation equations.
 * :func:`exact_policy_gradient` — the deterministic policy gradient
-  assembled from exact action-gradients of the average reward and of the
-  transition kernel.
+  assembled from the environment's exact joint action-gradients of the
+  average reward and of the kernel contracted with the differential values.
 * :func:`mspbe_fixed_point` — the weight vector a linear on-policy TD critic
   converges to: the zero of the projected fixed-point equations, which is
   also the minimizer of the mean-squared projected residual (``mspbe_of``).
@@ -108,16 +108,14 @@ def exact_eval(mdp: NetworkedMdp, policy: PolicySet) -> ExactEval:
 # ---------------------------------------------------------------------------
 
 
-def exact_q_grad_action(
-    mdp: NetworkedMdp, policy: PolicySet, ev: ExactEval, s: int, i: int
-) -> np.ndarray:
-    """d Q(s, a) / d a^i at a = mu(s), shape (n_i,).
+def exact_q_grad_action(mdp: NetworkedMdp, policy: PolicySet, ev: ExactEval, s: int) -> np.ndarray:
+    """d Q(s, a) / d a at a = mu(s), flat (n_total,).
 
     Differentiates the evaluation identity Q(s, a) = Rbar(s, a) - J +
     sum_s' P(s'|s, a) V(s'); only the reward and kernel depend on the action.
     """
     acts = policy.act(s)
-    return mdp.reward_grad_action(i, s, acts) + mdp.transition_grad_action(i, s, acts) @ ev.bias
+    return mdp.reward_grad_action(s, acts) + mdp.transition_grad_action(s, acts, ev.bias)
 
 
 def exact_policy_gradient(mdp: NetworkedMdp, policy: PolicySet) -> np.ndarray:
@@ -129,9 +127,7 @@ def exact_policy_gradient(mdp: NetworkedMdp, policy: PolicySet) -> np.ndarray:
     ev = exact_eval(mdp, policy)
     grad = np.zeros(policy.total_param_dim)
     for s in range(mdp.state_count):
-        q = np.concatenate(
-            [exact_q_grad_action(mdp, policy, ev, s, i) for i in range(mdp.agent_count)]
-        )
+        q = exact_q_grad_action(mdp, policy, ev, s)
         grad += ev.stationary[s] * policy.jac_apply(s, q, np.zeros(policy.total_param_dim))
     return grad
 

@@ -22,7 +22,13 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["PolicySet", "GaussianNoise", "constant_policy", "affine_policy"]
+__all__ = ["PolicySet", "GaussianNoise", "check_box", "constant_policy", "affine_policy"]
+
+
+def check_box(lo: float, hi: float, error: type = ValueError) -> None:
+    """Raise ``error`` if the projection box [lo, hi] is empty."""
+    if lo > hi:
+        raise error(f"projection box [{lo}, {hi}] is empty (lo > hi)")
 
 
 @dataclass
@@ -72,8 +78,7 @@ class PolicySet:
                 raise DimensionMismatch(
                     f"agent {i} parameters have shape {t.shape}, expected ({want},)"
                 )
-        if self.lo > self.hi:
-            raise ValueError("projection box is empty")
+        check_box(self.lo, self.hi)
         self.params = np.concatenate(theta)
         p0 = np.cumsum((0,) + self.param_dims)
         a0 = np.cumsum((0,) + self.action_dims)

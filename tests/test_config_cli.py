@@ -11,7 +11,9 @@ from netdac.config import (
     parse_config,
     serialize_config,
 )
+from netdac.dac import Schedule
 from netdac.errors import ConfigError
+from netdac.policy import constant_policy
 from netdac.seeding import STREAM_LABELS, substream
 from netdac.verify import format_report, registered_checks, run_checks
 
@@ -96,6 +98,7 @@ class TestValidation:
         "kw",
         [
             dict(kind="bandits"),
+            dict(kind="verify"),
             dict(algorithm="alg3"),
             dict(agents=0),
             dict(action_dim=0),
@@ -121,6 +124,38 @@ class TestValidation:
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             RunConfig(**kw)
+
+    @staticmethod
+    def _outcome(make, error):
+        """The message ``make()`` raises ``error`` with, or None if it accepts."""
+        try:
+            make()
+        except error as exc:
+            return str(exc)
+        return None
+
+    _EDGES = (0.4, 0.5, 0.6, 0.9, 1.0, 1.1, float("nan"))
+
+    @pytest.mark.parametrize("critic_pow", _EDGES)
+    @pytest.mark.parametrize("actor_pow", _EDGES)
+    def test_config_and_schedule_share_the_polynomial_rule(self, critic_pow, actor_pow):
+        cfg = self._outcome(
+            lambda: RunConfig(schedule="polynomial", critic_pow=critic_pow, actor_pow=actor_pow),
+            ConfigError,
+        )
+        sch = self._outcome(
+            lambda: Schedule("polynomial", critic_pow=critic_pow, actor_pow=actor_pow), ValueError
+        )
+        assert cfg == sch
+        assert (cfg is None) == (0.5 < critic_pow < actor_pow <= 1.0)
+
+    @pytest.mark.parametrize("lo", (-1.0, 0.0, 1.0, float("nan")))
+    @pytest.mark.parametrize("hi", (-1.0, 0.0, 1.0, float("nan")))
+    def test_config_and_policy_share_the_box_rule(self, lo, hi):
+        cfg = self._outcome(lambda: RunConfig(proj_lo=lo, proj_hi=hi), ConfigError)
+        pol = self._outcome(lambda: constant_policy((2,), lo=lo, hi=hi), ValueError)
+        assert cfg == pol
+        assert (cfg is None) == (not lo > hi)
 
     def test_bandit_ignores_states(self):
         # states only matters for finite-state runs.

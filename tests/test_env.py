@@ -37,6 +37,19 @@ def _fd_reward_grad(mdp, s, actions, i):
     return out
 
 
+def _fd_batch(env, s, actions, values):
+    """Central differences, in every joint-action coordinate, of the batch
+    methods: ``mean_reward_batch`` and ``transition_row_batch(...) @ values``."""
+    # Rows 2k and 2k+1 step coordinate k up and down.
+    probe = np.repeat(actions[None, :], 2 * actions.size, axis=0)
+    cols = np.arange(actions.size)
+    probe[2 * cols, cols] += _FD
+    probe[2 * cols + 1, cols] -= _FD
+    rew = env.mean_reward_batch(s, probe)
+    contracted = env.transition_row_batch(s, probe) @ values
+    return (rew[0::2] - rew[1::2]) / (2 * _FD), (contracted[0::2] - contracted[1::2]) / (2 * _FD)
+
+
 class TestPackUnpack:
     def test_round_trip(self):
         # A joint action is one flat vector with each agent's action at its
@@ -101,26 +114,16 @@ class TestEnvironmentContract:
     def test_gradients_match_batch_central_differences(self, contract_env):
         env = contract_env
         flat = self._batch(env, t=3, seed=8)
-        starts = np.cumsum((0,) + env.action_dims)
+        values = np.random.default_rng(9).uniform(-1.0, 1.0, env.state_count)
         for s in range(env.state_count):
             for acts in flat:
-                for i in range(env.agent_count):
-                    cols = range(starts[i], starts[i + 1])
-                    # Rows 2k and 2k+1 step coordinate k of agent i up and down.
-                    probe = np.repeat(acts[None, :], 2 * len(cols), axis=0)
-                    for k, col in enumerate(cols):
-                        probe[2 * k, col] += _FD
-                        probe[2 * k + 1, col] -= _FD
-                    rew = env.mean_reward_batch(s, probe)
-                    rows = env.transition_row_batch(s, probe)
-                    fd_rew = (rew[0::2] - rew[1::2]) / (2 * _FD)
-                    fd_rows = (rows[0::2] - rows[1::2]) / (2 * _FD)
-                    np.testing.assert_allclose(
-                        env.reward_grad_action(i, s, acts), fd_rew, rtol=1e-6, atol=1e-6
-                    )
-                    np.testing.assert_allclose(
-                        env.transition_grad_action(i, s, acts), fd_rows, rtol=0, atol=1e-7
-                    )
+                fd_rew, fd_contracted = _fd_batch(env, s, acts, values)
+                np.testing.assert_allclose(
+                    env.reward_grad_action(s, acts), fd_rew, rtol=1e-6, atol=1e-6
+                )
+                np.testing.assert_allclose(
+                    env.transition_grad_action(s, acts, values), fd_contracted, rtol=0, atol=1e-7
+                )
 
     def test_interface_has_no_defaults(self):
         # Only the sampler is concrete; nothing falls back to another method.
@@ -253,9 +256,8 @@ class TestFiniteTestMdp:
         for _ in range(5):
             s = int(rng.integers(mdp.state_count))
             acts = rng.standard_normal(mdp.agent_count)
-            for i in range(mdp.agent_count):
-                got = mdp.reward_grad_action(i, s, acts)
-                np.testing.assert_allclose(got, _fd_reward_grad(mdp, s, acts, i), atol=1e-7)
+            fd, _ = _fd_batch(mdp, s, acts, np.zeros(mdp.state_count))
+            np.testing.assert_allclose(mdp.reward_grad_action(s, acts), fd, atol=1e-7)
 
     def test_transition_grad_matches_fd(self):
         mdp = self.make(seed=6)
@@ -263,14 +265,10 @@ class TestFiniteTestMdp:
         for _ in range(5):
             s = int(rng.integers(mdp.state_count))
             acts = rng.standard_normal(mdp.agent_count)
-            for i in range(mdp.agent_count):
-                got = mdp.transition_grad_action(i, s, acts)
-                fd = np.zeros((1, mdp.state_count))
-                hi, lo = acts.copy(), acts.copy()
-                hi[i] += _FD
-                lo[i] -= _FD
-                fd[0] = (mdp.transition_row(s, hi) - mdp.transition_row(s, lo)) / (2 * _FD)
-                np.testing.assert_allclose(got, fd, atol=1e-7)
+            values = rng.uniform(-1.0, 1.0, mdp.state_count)
+            _, fd = _fd_batch(mdp, s, acts, values)
+            got = mdp.transition_grad_action(s, acts, values)
+            np.testing.assert_allclose(got, fd, atol=1e-7)
 
     def test_sampling_frequencies_match_row(self):
         mdp = self.make(states=3, agents=2, seed=8)

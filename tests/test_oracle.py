@@ -124,15 +124,13 @@ class TestExactPolicyGradient:
         ev = exact_eval(mdp, pol)
         h = 1e-6
         for s in range(3):
-            for i in range(2):
-                got = exact_q_grad_action(mdp, pol, ev, s, i)
-                acts_hi = pol.act(s)
-                acts_lo = pol.act(s)
-                acts_hi[i] = acts_hi[i] + h
-                acts_lo[i] = acts_lo[i] - h
-                q_hi = mdp.mean_reward(s, acts_hi) + mdp.transition_row(s, acts_hi) @ ev.bias
-                q_lo = mdp.mean_reward(s, acts_lo) + mdp.transition_row(s, acts_lo) @ ev.bias
-                np.testing.assert_allclose(got, [(q_hi - q_lo) / (2 * h)], atol=1e-7)
+            # Rows 2i and 2i+1 step agent i's action up and down.
+            probe = np.repeat(pol.act(s)[None, :], 4, axis=0)
+            probe[[0, 2], [0, 1]] += h
+            probe[[1, 3], [0, 1]] -= h
+            q = mdp.mean_reward_batch(s, probe) + mdp.transition_row_batch(s, probe) @ ev.bias
+            got = exact_q_grad_action(mdp, pol, ev, s)
+            np.testing.assert_allclose(got, (q[0::2] - q[1::2]) / (2 * h), atol=1e-7)
 
 
 class TestMspbeFixedPoint:

@@ -1,8 +1,9 @@
 """Property tests for the flat joint action and the flat parameter vector at
 their edges (one agent, agents with different action dimensions, constant
 and affine policies), for the exact row forms and the frozen-actor critic
-segment built on them, for the finite MDP's transition sampler, and for
-divergence detection in the training loops."""
+segment built on them, for the finite MDP's transition sampler, for the
+joint environment action-gradients and the exact policy gradient built on
+them, and for divergence detection in the training loops."""
 
 import copy
 import re
@@ -29,7 +30,14 @@ from netdac.dac import (
     alg2_step,
     init_train_state,
 )
-from netdac.env import NetworkedMdp, _sigmoid, make_bandit, make_finite_mdp
+from netdac.env import (
+    ContinuousBandit,
+    NetworkedMdp,
+    _sigmoid,
+    bandit_reward_grad,
+    make_bandit,
+    make_finite_mdp,
+)
 from netdac.errors import Diverged
 from netdac.network import (
     CommGraph,
@@ -38,6 +46,7 @@ from netdac.network import (
     metropolis_weights,
     ring_graph,
 )
+from netdac.oracle import exact_eval, exact_policy_gradient
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -369,6 +378,58 @@ def test_transition_draws_the_cumsum_searchsorted_state(states, agents, total, s
             got = env.transition(s, a, gen)
             assert type(got) is int and got == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _per_agent_grads(env, s, acts, values):
+    """Agent i's d Rbar / d a^i and d (P . values) / d a^i, one agent at a time."""
+    if isinstance(env, ContinuousBandit):
+        zero = np.zeros((env.action_dim, 1))
+        return [(bandit_reward_grad(env, acts, i), zero @ values) for i in range(env.agent_count)]
+    g = _sigmoid(float(np.add.accumulate(acts)[-1]))
+    jac = (g * (1.0 - g) * (env.p1[s] - env.p0[s]))[None, :]
+    sech2 = 1.0 - np.tanh(env.offset[:, s] + env.coef @ acts) ** 2
+    return [
+        (np.array([float(np.mean(env.amp[:, s] * sech2 * env.coef[:, i]))]), jac @ values)
+        for i in range(env.agent_count)
+    ]
+
+
+@st.composite
+def gradient_cases(draw):
+    """(environment, policy with parameters up to +-5, a value vector) on both environments."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    agents = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        env = make_bandit(agents, draw(st.integers(1, 20)), seed=draw(st.integers(0, 99)))
+        pol = constant_policy(env.action_dims)
+    else:
+        states = draw(st.integers(2, 20))
+        env = make_finite_mdp(states, agents, seed=draw(st.integers(0, 99)))
+        form = draw(st.sampled_from([affine_policy, constant_policy]))
+        pol = form(states, env.action_dims) if form is affine_policy else form(env.action_dims)
+    scale = draw(st.floats(0.1, 5.0))
+    pol.set_theta_flat(rng.uniform(-scale, scale, pol.total_param_dim))
+    return env, pol, rng.standard_normal(env.state_count)
+
+
+@_SETTINGS
+@given(gradient_cases())
+def test_joint_gradients_are_the_per_agent_formulas(case):
+    # Parameters up to +-5 saturate tanh and, summed over up to 12 agents,
+    # make the gate's clamp bind.
+    env, pol, values = case
+    ev = exact_eval(env, pol)
+    want_pg = np.zeros(pol.total_param_dim)
+    for s in range(env.state_count):
+        acts = pol.act(s)
+        pairs = _per_agent_grads(env, s, acts, values)
+        want_r = np.concatenate([r for r, _ in pairs])
+        assert env.reward_grad_action(s, acts).tobytes() == want_r.tobytes()
+        want_t = np.concatenate([t for _, t in pairs])
+        assert env.transition_grad_action(s, acts, values).tobytes() == want_t.tobytes()
+        q = np.concatenate([r + t for r, t in _per_agent_grads(env, s, acts, ev.bias)])
+        want_pg += ev.stationary[s] * pol.jac_apply(s, q, np.zeros(pol.total_param_dim))
+    assert exact_policy_gradient(env, pol).tobytes() == want_pg.tobytes()
 
 
 @_SETTINGS

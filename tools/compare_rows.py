@@ -1,4 +1,4 @@
-"""Compare the training rows of two netdac source trees on random small configs.
+"""Compare two netdac source trees' training rows and exact oracles on random small configs.
 
     python tools/compare_rows.py PARENT_SRC CHANGE_SRC --configs N [--seed S]
 
@@ -9,8 +9,11 @@ schedules, rollout evaluation, binding projection boxes, and step sizes that
 diverge (critic steps x20 or x2000, actor steps x1e6 in a 1e12 box).  Every
 ``MetricsRow`` field but the wall clock is compared bit for bit (as
 ``float.hex``), and so is the message of any ``Diverged`` or other netdac
-error a run raises.  The script prints the first config that differs and
-exits 1, or prints a summary and exits 0 when all rows and messages agree.
+error a run raises.  On each config's environment, ``exact_eval`` (every
+field) and ``exact_policy_gradient`` are compared byte for byte too, under
+the config's policy with parameters drawn from the config's own generator.
+The script prints the first config that differs and exits 1, or prints a
+summary and exits 0 when all rows, messages and oracle bytes agree.
 """
 
 import argparse
@@ -22,8 +25,9 @@ import sys
 FIELDS = ("t", "batch", "eval_cost", "mean_jhat", "critic_disagreement", "actor_grad_norm")
 
 
-def random_config(seed: int, index: int) -> dict:
-    """Keyword arguments of ``RunConfig`` for config ``index`` of a comparison."""
+def random_config(seed: int, index: int):
+    """Keyword arguments of ``RunConfig`` for config ``index`` of a comparison, and
+    the config's generator, positioned after the config's draws."""
     import numpy as np
 
     rng = np.random.default_rng([seed, index])
@@ -63,7 +67,23 @@ def random_config(seed: int, index: int) -> dict:
         cfg["critic_step"] *= pick(20.0, 2000.0)
     elif index % 3 == 1 and pick(True, False):
         cfg.update(actor_step=cfg["actor_step"] * 1e6, proj_lo=-1e12, proj_hi=1e12)
-    return cfg
+    return cfg, rng
+
+
+def oracle_bytes(cfg, rng) -> list:
+    """Hex bytes of ``exact_eval`` (field by field) and ``exact_policy_gradient`` on the
+    config's environment, under its policy with parameters drawn from ``rng``."""
+    import numpy as np
+
+    from netdac import oracle
+    from netdac.dac import build_mdp, build_policy
+
+    mdp = build_mdp(cfg)
+    policy = build_policy(cfg, mdp)
+    policy.set_theta_flat(rng.uniform(-2.0, 2.0, policy.total_param_dim))
+    ev = oracle.exact_eval(mdp, policy)
+    arrays = list(vars(ev).values()) + [oracle.exact_policy_gradient(mdp, policy)]
+    return [np.ascontiguousarray(a, dtype=float).tobytes().hex() for a in arrays]
 
 
 def run_configs(seed: int, count: int):
@@ -75,19 +95,20 @@ def run_configs(seed: int, count: int):
     from netdac.errors import NetdacError
 
     for index in range(count):
-        cfg = RunConfig(**random_config(seed, index))
+        kwargs, rng = random_config(seed, index)
+        cfg = RunConfig(**kwargs)
+        outcome = {"oracle": oracle_bytes(cfg, rng)}
         try:
             with np.errstate(all="ignore"):
                 rows = run_experiment(cfg)
         except NetdacError as exc:
-            yield {"error": f"{type(exc).__name__}: {exc}"}
-            continue
-        yield {
-            "rows": [
+            outcome["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            outcome["rows"] = [
                 [v.hex() if isinstance(v, float) else v for v in (getattr(r, f) for f in FIELDS)]
                 for r in rows
             ]
-        }
+        yield outcome
 
 
 def _worker_outcomes(src: str, seed: int, count: int) -> list:
@@ -120,12 +141,15 @@ def main(argv=None) -> int:
         return 1
     for index, (a, b) in enumerate(zip(parent, change)):
         if a != b:
-            print(f"config {index} differs: {random_config(args.seed, index)}")
+            print(f"config {index} differs: {random_config(args.seed, index)[0]}")
             print(f"  parent: {a}")
             print(f"  change: {b}")
             return 1
     diverged = sum("error" in a for a in parent)
-    print(f"{len(parent)} configs identical ({diverged} raised, with identical messages)")
+    print(
+        f"{len(parent)} configs identical ({diverged} raised, with identical messages; "
+        "identical exact_eval and exact_policy_gradient bytes)"
+    )
     return 0
 
 
