@@ -15,9 +15,8 @@ from .approx import (
     FourierFeatures,
     TabularFeatures,
 )
-from .config import MetricsRow, RunConfig, load_config, parse_config, serialize_config
+from .config import MetricsRow, RunConfig, Schedule, load_config, parse_config, serialize_config
 from .dac import (
-    Schedule,
     TrainState,
     alg1_step,
     alg2_step,

@@ -143,11 +143,11 @@ class CompatibleRFeatures(_PolicyJacobianFeatures):
 class FourierFeatures(FeatureMap):
     """Random cosine features of the one-hot state and the flat joint action.
 
-    phi_k(s, a) = cos(w_k . [onehot(s); a] + b_k), so every feature lies in
-    [-1, 1] and action gradients are bounded by the draw's weight scale.
+    phi_k(s, a) = cos(w_k . [onehot(s); a] + b_k) with standard normal w_k and
+    uniform b_k in [0, 2 pi), so every feature lies in [-1, 1].
     """
 
-    def __init__(self, n_states: int, action_dims, dim: int, seed: int = 0, scale: float = 1.0):
+    def __init__(self, n_states: int, action_dims, dim: int, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.n_states = int(n_states)
@@ -155,7 +155,7 @@ class FourierFeatures(FeatureMap):
         self.dim = int(dim)
         self._n_total = sum(self.action_dims)
         rng = np.random.default_rng(seed)
-        self._w = scale * rng.standard_normal((self.dim, self.n_states + self._n_total))
+        self._w = rng.standard_normal((self.dim, self.n_states + self._n_total))
         self._b = rng.uniform(0.0, 2.0 * np.pi, size=self.dim)
         # Per action dimension n: its agents, their flat positions, (K, n) slabs.
         self._slab_groups = []

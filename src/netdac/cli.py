@@ -62,7 +62,7 @@ def write_csv(path: str, rows, seeds) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_mean_csv(path: str, rows, seeds) -> None:
+def write_mean_csv(path: str, rows) -> None:
     """Per-batch mean evaluated cost across seeds (plot-ready convergence curve)."""
     by_batch = {}
     for r in rows:
@@ -107,7 +107,7 @@ def _cmd_run(config_path: str) -> int:
         print(f"run diverged at seed {failing}: {exc}", file=sys.stderr)
         return 2
     write_csv(config.output, rows, config.seeds)
-    write_mean_csv(_mean_csv_path(config.output), rows, config.seeds)
+    write_mean_csv(_mean_csv_path(config.output), rows)
     print(f"wrote {config.output} and {_mean_csv_path(config.output)} "
           f"({len(rows)} evaluation rows, {len(config.seeds)} seeds)")
     return 0

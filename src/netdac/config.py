@@ -8,27 +8,57 @@ actor step 0.01, batch size 2m, and five seeds.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .network import check_failure_prob
-from .policy import check_box
+from .policy import GaussianNoise, check_box
 
-__all__ = ["RunConfig", "MetricsRow", "load_config", "parse_config", "serialize_config"]
+__all__ = [
+    "Schedule", "RunConfig", "MetricsRow", "load_config", "parse_config", "serialize_config"
+]
 
 _KINDS = ("bandit", "finite-mdp")
 _ALGORITHMS = ("alg1", "alg2")
-_SCHEDULES = ("constant", "polynomial")
 _FEATURES = ("compatible", "fourier", "tabular")
 _UPDATE_MODES = ("batch", "online")
 _ACTOR_GRADS = ("batch-mean", "last-sample")
 _TOPOLOGIES = ("complete", "path", "ring", "star", "edgeless")
 
 
-def check_polynomial_powers(critic_pow: float, actor_pow: float, error: type = ValueError) -> None:
-    """Raise ``error`` unless 0.5 < critic_pow < actor_pow <= 1 (actor strictly slower)."""
-    if not 0.5 < critic_pow < actor_pow <= 1.0:
-        raise error("polynomial schedule needs 0.5 < critic_pow < actor_pow <= 1")
+@dataclass(frozen=True)
+class Schedule:
+    """Step-size schedules for the critic (fast) and actor (slow) timescales.
+
+    ``constant`` uses the two scales as-is.  ``polynomial`` decays them as
+    scale / (1 + t)^power with 0.5 < critic_pow < actor_pow <= 1, which keeps
+    the actor on a strictly slower timescale than the critic.
+    """
+
+    mode: str = "constant"
+    critic: float = 0.1
+    actor: float = 0.01
+    critic_pow: float = 0.6
+    actor_pow: float = 0.9
+
+    def __post_init__(self):
+        if self.mode not in ("constant", "polynomial"):
+            raise ValueError(f"schedule must be constant or polynomial, got {self.mode!r}")
+        if not (0.0 <= self.critic < math.inf and 0.0 <= self.actor < math.inf):
+            raise ValueError("step sizes must be finite and non-negative")
+        if self.mode == "polynomial" and not 0.5 < self.critic_pow < self.actor_pow <= 1.0:
+            raise ValueError("polynomial schedule needs 0.5 < critic_pow < actor_pow <= 1")
+
+    def beta_critic(self, t: int) -> float:
+        if self.mode == "constant":
+            return self.critic
+        return self.critic / (1.0 + t) ** self.critic_pow
+
+    def beta_actor(self, t: int) -> float:
+        if self.mode == "constant":
+            return self.actor
+        return self.actor / (1.0 + t) ** self.actor_pow
 
 
 @dataclass(frozen=True)
@@ -84,20 +114,19 @@ class RunConfig:
             raise ConfigError("states must be >= 2 for finite-mdp runs")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if self.schedule not in _SCHEDULES:
-            raise ConfigError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
-        if self.critic_step < 0 or self.actor_step < 0:
-            raise ConfigError("step sizes must be non-negative")
-        if self.schedule == "polynomial":
-            check_polynomial_powers(self.critic_pow, self.actor_pow, ConfigError)
-        if self.sigma < 0:
-            raise ConfigError("sigma must be non-negative")
+        # Rules stated by the components that use the values, as ConfigErrors.
+        try:
+            self.step_sizes  # the Schedule checks its own rules when built
+            GaussianNoise(self.sigma)
+            check_failure_prob(self.failure_prob)
+            check_box(self.proj_lo, self.proj_hi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         base = self.topology.split(":", 1)[0]
         if base not in _TOPOLOGIES + ("edgelist",):
             raise ConfigError(f"unknown topology {self.topology!r}")
         if base == "edgelist" and ":" not in self.topology:
             raise ConfigError("edgelist topology needs a path: edgelist:<path>")
-        check_failure_prob(self.failure_prob, ConfigError)
         if self.features not in _FEATURES:
             raise ConfigError(f"features must be one of {_FEATURES}, got {self.features!r}")
         if self.features == "fourier" and self.feature_count < 1:
@@ -110,9 +139,14 @@ class RunConfig:
             raise ConfigError("batches must be >= 0")
         if self.actor_grad not in _ACTOR_GRADS:
             raise ConfigError(f"actor_grad must be one of {_ACTOR_GRADS}")
-        check_box(self.proj_lo, self.proj_hi, ConfigError)
         if self.eval_rollout < 0:
             raise ConfigError("eval_rollout must be >= 0")
+
+    @property
+    def step_sizes(self) -> Schedule:
+        return Schedule(
+            self.schedule, self.critic_step, self.actor_step, self.critic_pow, self.actor_pow
+        )
 
     @property
     def effective_batch_size(self) -> int:

@@ -61,7 +61,7 @@ from .approx import (
     FourierFeatures,
     TabularFeatures,
 )
-from .config import MetricsRow, RunConfig, check_polynomial_powers
+from .config import MetricsRow, RunConfig, Schedule
 from .env import NetworkedMdp, make_bandit, make_finite_mdp
 from .errors import ConfigError, Diverged
 from .linalg import project_box, stationary_distribution
@@ -70,7 +70,6 @@ from .policy import GaussianNoise, PolicySet, affine_policy, constant_policy
 from .seeding import substream
 
 __all__ = [
-    "Schedule",
     "TrainState",
     "init_train_state",
     "alg1_step",
@@ -92,40 +91,6 @@ _FINITE_CHECK_EVERY = 16
 
 #: The sub-stream each algorithm draws its actions from.
 _ACTION_STREAM = {"alg1": "noise", "alg2": "behavior"}
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Step-size schedules for the critic (fast) and actor (slow) timescales.
-
-    ``constant`` uses the two scales as-is.  ``polynomial`` decays them as
-    scale / (1 + t)^power with 0.5 < critic_pow < actor_pow <= 1, which keeps
-    the actor on a strictly slower timescale than the critic.
-    """
-
-    mode: str = "constant"
-    critic: float = 0.1
-    actor: float = 0.01
-    critic_pow: float = 0.6
-    actor_pow: float = 0.9
-
-    def __post_init__(self):
-        if self.mode not in ("constant", "polynomial"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.critic < 0 or self.actor < 0:
-            raise ValueError("step-size scales must be non-negative")
-        if self.mode == "polynomial":
-            check_polynomial_powers(self.critic_pow, self.actor_pow)
-
-    def beta_critic(self, t: int) -> float:
-        if self.mode == "constant":
-            return self.critic
-        return self.critic / (1.0 + t) ** self.critic_pow
-
-    def beta_actor(self, t: int) -> float:
-        if self.mode == "constant":
-            return self.actor
-        return self.actor / (1.0 + t) ** self.actor_pow
 
 
 @dataclass
@@ -176,9 +141,8 @@ def init_train_state(
     seed: int,
     algorithm: str = "alg1",
     exploration: GaussianNoise = GaussianNoise(0.0),
-    s0: int = 0,
 ) -> TrainState:
-    """Fresh state: zero critics, zero Jhat, initial action mu(s0) plus noise.
+    """Fresh state in state 0: zero critics, zero Jhat, initial action mu(0) plus noise.
 
     Two named sub-streams are derived from the seed: "env" for transitions
     and the algorithm's action stream ("noise" for alg1's exploration,
@@ -193,8 +157,8 @@ def init_train_state(
         critic=np.zeros((n, features.dim)),
         jhat=np.zeros(n),
         t=0,
-        s=int(s0),
-        actions=exploration.perturb(policy.act(s0), rngs[_ACTION_STREAM[algorithm]]),
+        s=0,
+        actions=exploration.perturb(policy.act(0), rngs[_ACTION_STREAM[algorithm]]),
         rngs=rngs,
         algorithm=algorithm,
     )
@@ -431,13 +395,7 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
     process = GraphProcess(
         build_graph(config), config.failure_prob, substream(seed, "graph")
     )
-    schedule = Schedule(
-        config.schedule,
-        config.critic_step,
-        config.actor_step,
-        config.critic_pow,
-        config.actor_pow,
-    )
+    schedule = config.step_sizes
     exploration = GaussianNoise(config.sigma)
     state = init_train_state(
         mdp, policy, features, seed=seed, algorithm=config.algorithm, exploration=exploration

@@ -75,20 +75,6 @@ class CommGraph:
             a[i, j] = a[j, i] = True
         return a
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in np.flatnonzero(adj[v]):
-                if int(w) not in seen:
-                    seen.add(int(w))
-                    frontier.append(int(w))
-        return len(seen) == self.n
-
 
 def path_graph(n: int) -> CommGraph:
     return CommGraph(n, tuple((i, i + 1) for i in range(n - 1)))
@@ -158,10 +144,10 @@ def metropolis_weights(graph: CommGraph) -> np.ndarray:
     return c
 
 
-def check_failure_prob(p: float, error: type = ValueError) -> None:
-    """Raise ``error`` unless ``p`` is a valid link-failure probability, in [0, 1)."""
+def check_failure_prob(p: float) -> None:
+    """Raise ValueError unless ``p`` is a valid link-failure probability, in [0, 1)."""
     if not 0.0 <= p < 1.0:
-        raise error("failure_prob must lie in [0, 1)")
+        raise ValueError("failure_prob must lie in [0, 1)")
 
 
 @dataclass
@@ -190,7 +176,7 @@ class GraphProcess:
         self._edges = tuple(self.base.edges)  # already sorted
         self._base_directed = 2 * len(self._edges)
 
-    def sample_weights(self, rng: np.random.Generator = None) -> np.ndarray:
+    def sample_weights(self) -> np.ndarray:
         """One step's consensus matrix C_t (symmetric, doubly stochastic).
 
         With ``failure_prob = 0`` the (read-only) base matrix itself is
@@ -199,9 +185,8 @@ class GraphProcess:
         if self.failure_prob == 0.0:
             return self.base_weights
         c = self.base_weights.copy()
-        rng = rng or self.rng
         # Python floats: a numpy scalar per edge, or np.flatnonzero, costs more.
-        for (i, j), u in zip(self._edges, rng.random(len(self._edges)).tolist()):
+        for (i, j), u in zip(self._edges, self.rng.random(len(self._edges)).tolist()):
             if u < self.failure_prob:  # the edge fails
                 c[i, i] += c[i, j]
                 c[j, j] += c[j, i]
@@ -232,9 +217,7 @@ class ConsensusReport:
     ok: bool
 
 
-def check_assumption_random_matrices(
-    process: GraphProcess, samples: int = 1000, rng: np.random.Generator = None
-) -> ConsensusReport:
+def check_assumption_random_matrices(process: GraphProcess, samples: int = 1000) -> ConsensusReport:
     """Sample C_t and test: rows stochastic per sample, mean column-stochastic,
     positive entries bounded away from zero, and mean mixing matrix contractive."""
     if samples < 1:
@@ -247,7 +230,7 @@ def check_assumption_random_matrices(
     row_res = 0.0
     min_pos = np.inf
     for _ in range(samples):
-        c = process.sample_weights(rng)
+        c = process.sample_weights()
         row_res = max(row_res, float(np.max(np.abs(c @ ones - ones))))
         pos = c[c > 0]
         if pos.size:

@@ -191,7 +191,11 @@ def mspbe_of(
     """
     ev = exact_eval(mdp, policy)
     phi = _onpolicy_feature_matrix(mdp, policy, features)
-    omega = np.asarray(omega, dtype=float).ravel()
+    return _mspbe(ev, phi, np.asarray(omega, dtype=float).ravel())
+
+
+def _mspbe(ev: ExactEval, phi: np.ndarray, omega: np.ndarray) -> float:
+    """``mspbe_of`` on an evaluated chain and its on-policy feature matrix."""
     d = ev.stationary
     target = ev.reward - ev.gain + ev.kernel @ (phi @ omega)
     resid = target - phi @ omega
@@ -223,7 +227,7 @@ def mspbe_fixed_point(
     a_matrix = dphi.T @ (phi - ev.kernel @ phi)
     b_vec = dphi.T @ (ev.reward - ev.gain)
     omega = solve_linear(a_matrix, b_vec)
-    value = mspbe_of(mdp, policy, features, omega)
+    value = _mspbe(ev, phi, omega)
     return MspbeFixedPoint(
         omega=omega, mspbe=value, a_matrix=a_matrix, b_vec=b_vec, phi=phi
     )

@@ -25,10 +25,10 @@ from .errors import DimensionMismatch
 __all__ = ["PolicySet", "GaussianNoise", "check_box", "constant_policy", "affine_policy"]
 
 
-def check_box(lo: float, hi: float, error: type = ValueError) -> None:
-    """Raise ``error`` if the projection box [lo, hi] is empty."""
-    if lo > hi:
-        raise error(f"projection box [{lo}, {hi}] is empty (lo > hi)")
+def check_box(lo: float, hi: float) -> None:
+    """Raise ValueError unless lo <= hi: a NaN bound fails, an infinite one may stand."""
+    if not lo <= hi:
+        raise ValueError(f"projection box [{lo}, {hi}] needs lo <= hi")
 
 
 @dataclass
@@ -231,13 +231,13 @@ def affine_policy(
 
 @dataclass(frozen=True)
 class GaussianNoise:
-    """Isotropic Gaussian exploration of scale sigma around a joint action."""
+    """Isotropic Gaussian exploration of finite scale sigma >= 0 around a joint action."""
 
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and non-negative")
 
     def perturb(self, actions, rng: np.random.Generator) -> np.ndarray:
         """A new joint action a + N(0, sigma^2 I); sigma = 0 copies and draws nothing."""

@@ -15,10 +15,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["substream", "STREAM_LABELS"]
-
-# Labels used by the training loop; other callers may use any label.
-STREAM_LABELS = ("env", "noise", "graph", "behavior")
+__all__ = ["substream"]
 
 
 def _label_key(label: str) -> int:

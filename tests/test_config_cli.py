@@ -1,5 +1,7 @@
 """Config parsing, seeded sub-streams, CSV output, and the CLI surface."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,15 @@ from netdac.cli import CSV_HEADER, main, write_csv, write_mean_csv
 from netdac.config import (
     MetricsRow,
     RunConfig,
+    Schedule,
     load_config,
     parse_config,
     serialize_config,
 )
-from netdac.dac import Schedule
 from netdac.errors import ConfigError
-from netdac.policy import constant_policy
-from netdac.seeding import STREAM_LABELS, substream
+from netdac.network import GraphProcess, path_graph
+from netdac.policy import GaussianNoise, constant_policy
+from netdac.seeding import substream
 from netdac.verify import format_report, registered_checks, run_checks
 
 
@@ -119,6 +122,11 @@ class TestValidation:
             dict(actor_grad="mean"),
             dict(proj_lo=1.0, proj_hi=-1.0),
             dict(eval_rollout=-1),
+            dict(sigma=float("nan")),
+            dict(sigma=float("inf")),
+            dict(critic_step=float("nan")),
+            dict(actor_step=float("inf")),
+            dict(proj_lo=float("nan")),
         ],
     )
     def test_rejects(self, kw):
@@ -155,7 +163,33 @@ class TestValidation:
         cfg = self._outcome(lambda: RunConfig(proj_lo=lo, proj_hi=hi), ConfigError)
         pol = self._outcome(lambda: constant_policy((2,), lo=lo, hi=hi), ValueError)
         assert cfg == pol
-        assert (cfg is None) == (not lo > hi)
+        assert (cfg is None) == (lo <= hi)
+
+    _NUMBERS = (-1.0, 0.0, 0.5, 1.0, float("inf"), float("nan"))
+    #: Config field -> (the component that states its rule, the values the
+    #: rule accepts, the values tried).
+    _RULES = {
+        "sigma": (GaussianNoise, lambda v: 0.0 <= v < math.inf, _NUMBERS),
+        "critic_step": (lambda v: Schedule(critic=v), lambda v: 0.0 <= v < math.inf, _NUMBERS),
+        "actor_step": (lambda v: Schedule(actor=v), lambda v: 0.0 <= v < math.inf, _NUMBERS),
+        "schedule": (
+            Schedule,
+            lambda v: v in ("constant", "polynomial"),
+            ("constant", "polynomial", "Constant", "linear", ""),
+        ),
+        "failure_prob": (
+            lambda v: GraphProcess(path_graph(2), v), lambda v: 0.0 <= v < 1.0, _NUMBERS
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "field, value", [(f, v) for f, (_, _, values) in _RULES.items() for v in values]
+    )
+    def test_config_and_component_share_the_rule(self, field, value):
+        make, accepts, _ = self._RULES[field]
+        cfg = self._outcome(lambda: RunConfig(**{field: value}), ConfigError)
+        assert cfg == self._outcome(lambda: make(value), ValueError)
+        assert (cfg is None) == accepts(value)
 
     def test_bandit_ignores_states(self):
         # states only matters for finite-state runs.
@@ -173,7 +207,8 @@ class TestSeeding:
         np.testing.assert_array_equal(a, b)
 
     def test_labels_are_independent(self):
-        draws = {lab: substream(0, lab).standard_normal(4) for lab in STREAM_LABELS}
+        labels = ("env", "noise", "graph", "behavior", "eval")
+        draws = {lab: substream(0, lab).standard_normal(4) for lab in labels}
         labs = list(draws)
         for k in range(len(labs)):
             for j in range(k + 1, len(labs)):
@@ -183,9 +218,6 @@ class TestSeeding:
         a = substream(0, "env").standard_normal(4)
         b = substream(1, "env").standard_normal(4)
         assert not np.array_equal(a, b)
-
-    def test_expected_labels_registered(self):
-        assert set(STREAM_LABELS) == {"env", "noise", "graph", "behavior"}
 
 
 def _row(seed, t, batch, cost):
@@ -217,7 +249,7 @@ class TestCsvWriters:
     def test_write_mean_csv(self, tmp_path):
         rows = [_row(0, 0, 0, 4.0), _row(0, 2, 1, 3.0), _row(1, 0, 0, 4.0), _row(1, 2, 1, 2.0)]
         path = tmp_path / "mean.csv"
-        write_mean_csv(str(path), rows, seeds=(0, 1))
+        write_mean_csv(str(path), rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "batch,mean_eval_cost,seed_count"
         assert lines[1] == "0,4.0,2"

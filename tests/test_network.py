@@ -32,12 +32,6 @@ class TestCommGraph:
         assert adj[0, 3] and adj[3, 0] and not adj[1, 2]
         np.testing.assert_array_equal(adj, adj.T)
 
-    def test_connectivity(self):
-        assert path_graph(5).is_connected()
-        assert not edgeless_graph(2).is_connected()
-        assert CommGraph(4, ((0, 1), (2, 3))).is_connected() is False
-        assert edgeless_graph(1).is_connected()  # single node is trivially connected
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CommGraph(2, ((0, 0),))  # self loop
