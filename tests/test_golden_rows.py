@@ -17,7 +17,11 @@ most easily changes:
 * the edges of a batch-mode critic segment: link failures, sigma = 0, long
   compatible batches on the finite MDP and batches of one step;
 * a wide Fourier map (20 features on 8 states): every other cell has 4
-  features, below the 16-wide unroll of numpy's dot kernels.
+  features, below the 16-wide unroll of numpy's dot kernels;
+* wide bandits (10 agents, 20 action dimensions, batches of 40 steps,
+  sigma = 0.1): every other bandit cell has at most 2 action dimensions,
+  so only these reach the reward's quadratic form and the 201 compatible
+  features at a width numpy's kernels unroll.
 
 Each field must equal the value in ``golden_rows.json`` exactly (JSON floats
 round-trip through ``repr``), so a change of one bit anywhere fails here.
@@ -77,6 +81,8 @@ CELLS = {
     )
 }
 _LONG = dict(batch_size=10, batches=10)
+# The benchmark's bandit width: 20 action dimensions, batches of 2m = 40 steps.
+_WIDE_BANDIT = dict(action_dim=20, batch_size=40, sigma=0.1)
 CELLS.update(
     {
         "m1-alg1-bandit-compatible-online": base_config(
@@ -170,6 +176,12 @@ CELLS.update(
         ),
         "wide-alg2-finite-mdp-fourier-online": base_config(
             "alg2", "finite-mdp", "fourier", "online", states=8, feature_count=20, **_LONG
+        ),
+        "wide-alg1-bandit-compatible-batch": base_config(
+            "alg1", "bandit", "compatible", "batch", **_WIDE_BANDIT
+        ),
+        "wide-alg2-bandit-compatible-batch": base_config(
+            "alg2", "bandit", "compatible", "batch", **_WIDE_BANDIT
         ),
     }
 )
