@@ -35,11 +35,13 @@ places: the critic target above (with the action the actor reads the critic's
 gradient at) and the draw of the last action, made before the actor step under
 alg1 (pre-update policy) and after it under alg2 (new theta).  Only the critic
 recurrence is sequential: a segment draws its noise as one block, rolls states
-and actions forward (``transition`` and ``act`` per row), then takes all its
-rewards and features at once (``local_rewards_rows``, ``eval_rows``).  The
+forward with ``transition`` per row and ``act`` once per state visited, takes
+all its rewards and features at once (``local_rewards_rows``, ``eval_rows``),
+and runs the recurrence in place, in the order of the formulas above.  The
 blocks are bit-equal to per-step calls: ``standard_normal((T, n))`` gives the
-bits of T draws of n, the ``*_rows`` methods are exact row by row, and each
-``w @ phi`` reads a C-contiguous row.
+bits of T draws of n, the ``*_rows`` methods are exact row by row (a stacked
+``np.matmul`` makes per slice the single product's BLAS call; ``np.einsum``
+sums in its own order), and each ``w @ phi`` reads a C-contiguous row.
 
 Both loops run either fully online (actor every step) or in batch mode: the
 critic runs for a batch of steps with theta frozen (re-initialized to zero at
@@ -47,6 +49,7 @@ each batch start unless warm-started), then one actor update is applied using
 the batch-end critic, averaged over the batch's sampled states/actions.
 """
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -92,6 +95,8 @@ _FINITE_CHECK_EVERY = 16
 #: The sub-stream each algorithm draws its actions from.
 _ACTION_STREAM = {"alg1": "noise", "alg2": "behavior"}
 
+_agent_pairs = functools.lru_cache(np.triu_indices)  # the i <= j pairs of N agents
+
 
 @dataclass
 class TrainState:
@@ -119,17 +124,24 @@ class TrainState:
         blocks = () if g is None else self.policy.param_blocks
         return float(np.sqrt(sum(float(g[b] @ g[b]) for b in blocks)))
 
+    @property
+    def critic_disagreement(self) -> float:
+        """max_ij |w^i - w^j|, with the (N, N, K) cube's einsum bits (i = j keeps its NaN)."""
+        i, j = _agent_pairs(len(self.critic))
+        d = self.critic[i] - self.critic[j]
+        return float(np.sqrt(np.max(np.einsum("pk,pk->p", d, d))))
+
     def check_finite(self) -> None:
         """Raise Diverged naming the first iterate that is non-finite or too large."""
         iterates = [("critic", self.critic), ("jhat", self.jhat)]
         # params is checked whole; only a failure searches the agents' blocks,
         # so the message names theta[i] with that block's own magnitude.
         params = self.policy.params
-        if params.size and not np.max(np.abs(params)) <= DIVERGENCE_BOUND:
+        if params.size and not np.abs(params).max() <= DIVERGENCE_BOUND:
             iterates += [(f"theta[{i}]", t) for i, t in enumerate(self.policy.theta)]
         for name, value in iterates:
-            worst = float(np.max(np.abs(value))) if value.size else 0.0
-            # np.max propagates NaN, and NaN fails every comparison.
+            worst = float(np.abs(value).max()) if value.size else 0.0
+            # max propagates NaN, and NaN fails every comparison.
             if not worst <= DIVERGENCE_BOUND:
                 raise Diverged(f"{name} magnitude {worst:.3e} at step {self.t}")
 
@@ -194,9 +206,11 @@ def _critic_segment(
     policy, alg1, t = state.policy, algorithm == "alg1", state.t
     z = noise.draw(steps, state.actions.size, state.rngs[_ACTION_STREAM[algorithm]])
     states, acts = [state.s], [state.actions]
+    # theta is frozen until the actor step; a one-step segment calls act once.
+    act = policy.act if steps == 1 else functools.cache(policy.act)
 
     def next_action(k):
-        a = policy.act(states[k + 1])
+        a = act(states[k + 1])
         return a if z is None else a + z[k]
 
     for k in range(steps):
@@ -220,11 +234,15 @@ def _critic_segment(
     for k in range(steps):
         w, phi, r, beta_w = state.critic, phis[k], rewards[k], schedule.beta_critic(t)
         if alg1:
-            delta = r - state.jhat + w @ phis[k + 1] - w @ phi
+            delta = r - state.jhat
+            delta += w @ phis[k + 1]
+            delta -= w @ phi
             state.jhat = (1.0 - beta_w) * state.jhat + beta_w * r
         else:
             delta = r - w @ phi
-        w_tilde = w + beta_w * delta[:, None] * phi[None, :]
+        delta *= beta_w
+        w_tilde = np.multiply.outer(delta, phi)
+        w_tilde += w
         if update_actor:
             # alg2 takes the actor gradient at the on-policy action mu_theta(s_t).
             a_grad = acts[0] if alg1 else policy.act(states[0])
@@ -414,8 +432,6 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
             # the on-policy action in the current state.
             feats = features.eval(state.s, policy.act(state.s))
             mean_jhat = float((state.critic @ feats).mean())
-        diffs = state.critic[:, None, :] - state.critic[None, :, :]
-        dis = float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diffs, diffs))))
         return MetricsRow(
             run_id=run_id,
             seed=seed,
@@ -423,7 +439,7 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
             batch=batch,
             eval_cost=cost,
             mean_jhat=mean_jhat,
-            critic_disagreement=dis,
+            critic_disagreement=state.critic_disagreement,
             actor_grad_norm=state.last_actor_grad_norm,
             wallclock_ms=int((time.perf_counter() - start) * 1000),
         )

@@ -37,11 +37,11 @@ actions is a ``(T, n_total)`` array of such rows.
   d a) and ``transition_grad_action`` (d (P(.|s, a) . values) / d a for a value
   vector over next states), used by the exact policy gradient.
 
-The ``*_rows`` forms are exact: row k is the single-action call, bit for bit.
-The ``*_batch`` forms agree to roundoff only: each keeps its own order of
-summation, and training outputs depend on the single-action arithmetic
-(sums over agents run in agent order).  :meth:`NetworkedMdp.transition` is
-the one concrete sampler: inverse CDF on ``transition_row`` by bisection.
+The ``*_rows`` forms are exact: row k is the single-action call, bit for bit
+(a stacked ``np.matmul`` makes each slice's dot or gemv; an einsum does not).
+The ``*_batch`` forms agree to roundoff only, each in its own summation order;
+training outputs depend on the single-action arithmetic (agent-order sums).
+:meth:`NetworkedMdp.transition` samples by bisection on ``transition_row``'s CDF.
 """
 
 import abc
@@ -178,12 +178,12 @@ class ContinuousBandit(NetworkedMdp):
         return np.full(self.agent_count, bandit_reward(self, actions))
 
     def local_rewards_rows(self, states, flat_actions) -> np.ndarray:
-        # Agent-order sums over the block are exact; the quadratic form stays
-        # per row (each batched form sums in another order).
+        # Agent-order sums over the block are exact, and so are the two stacked
+        # matmuls: each makes per row the BLAS call of dev @ cost @ dev.
         a = np.asarray(flat_actions, dtype=float).reshape(len(flat_actions), self.agent_count, -1)
-        devs = np.add.accumulate(a, axis=1)[:, -1] - self.target
-        r = np.array([-(dev @ self.cost @ dev) for dev in devs])
-        return np.repeat(r[:, None], self.agent_count, axis=1)
+        d = (np.add.accumulate(a, axis=1)[:, -1] - self.target)[:, None, :]
+        r = -((d @ self.cost) @ d.transpose(0, 2, 1))
+        return np.repeat(r[:, 0], self.agent_count, axis=1)
 
     def mean_reward(self, s, actions) -> float:
         return bandit_reward(self, actions)

@@ -34,7 +34,7 @@ from .approx import FeatureMap
 from .env import NetworkedMdp
 from .errors import NearSingularB, RankDeficientFeatures
 from .linalg import solve_linear, stationary_distribution
-from .policy import PolicySet
+from .policy import GaussianNoise, PolicySet
 
 __all__ = [
     "ExactEval",
@@ -260,8 +260,11 @@ class QuadratureConfig:
 def _gaussian_nodes(n_dim: int, sigma: float, quad: QuadratureConfig):
     """Offsets and weights such that E[f(mu + eps)] ~= sum_k w_k f(mu + off_k).
 
+    sigma follows ``GaussianNoise``'s rule (finite, >= 0) and must be > 0.
     Returns (offsets (T, n_dim), weights (T,)).
     """
+    if GaussianNoise(sigma).sigma == 0.0:
+        raise ValueError("sigma must be positive")
     if n_dim <= quad.max_dim:
         x, w = np.polynomial.hermite.hermgauss(quad.order)
         grids = np.array(list(itertools.product(x, repeat=n_dim)))
@@ -307,8 +310,6 @@ def offpolicy_fixed_point(
         If the behavior second-moment feature matrix is numerically singular
         (smallest eigenvalue below 1e-10).
     """
-    if sigma <= 0:
-        raise ValueError("behavior policy needs sigma > 0")
     n_s = mdp.state_count
     n_total = sum(mdp.action_dims)
     k = features.dim
@@ -371,8 +372,6 @@ def stochastic_pg_estimate(
     solve for the differential values).  As sigma shrinks the mean
     approaches the deterministic policy gradient.
     """
-    if sigma <= 0:
-        raise ValueError("smoothing scale sigma must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
     n_s = mdp.state_count

@@ -26,9 +26,9 @@ __all__ = ["PolicySet", "GaussianNoise", "check_box", "constant_policy", "affine
 
 
 def check_box(lo: float, hi: float) -> None:
-    """Raise ValueError unless lo <= hi: a NaN bound fails, an infinite one may stand."""
-    if not lo <= hi:
-        raise ValueError(f"projection box [{lo}, {hi}] needs lo <= hi")
+    """Raise ValueError unless lo <= hi, lo < inf and hi > -inf: one side may be unbounded."""
+    if not (lo <= hi and lo < np.inf and hi > -np.inf):
+        raise ValueError(f"projection box [{lo}, {hi}] needs lo <= hi, lo < inf and hi > -inf")
 
 
 @dataclass

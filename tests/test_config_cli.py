@@ -127,6 +127,8 @@ class TestValidation:
             dict(critic_step=float("nan")),
             dict(actor_step=float("inf")),
             dict(proj_lo=float("nan")),
+            dict(proj_lo=float("inf"), proj_hi=float("inf")),
+            dict(proj_lo=float("-inf"), proj_hi=float("-inf")),
         ],
     )
     def test_rejects(self, kw):
@@ -157,13 +159,16 @@ class TestValidation:
         assert cfg == sch
         assert (cfg is None) == (0.5 < critic_pow < actor_pow <= 1.0)
 
-    @pytest.mark.parametrize("lo", (-1.0, 0.0, 1.0, float("nan")))
-    @pytest.mark.parametrize("hi", (-1.0, 0.0, 1.0, float("nan")))
+    _BOUNDS = (-math.inf, -1.0, 0.0, 1.0, math.inf, math.nan)
+
+    @pytest.mark.parametrize("lo", _BOUNDS)
+    @pytest.mark.parametrize("hi", _BOUNDS)
     def test_config_and_policy_share_the_box_rule(self, lo, hi):
+        # An unbounded side may stand; an empty box at infinity may not.
         cfg = self._outcome(lambda: RunConfig(proj_lo=lo, proj_hi=hi), ConfigError)
         pol = self._outcome(lambda: constant_policy((2,), lo=lo, hi=hi), ValueError)
         assert cfg == pol
-        assert (cfg is None) == (lo <= hi)
+        assert (cfg is None) == (lo <= hi and lo < math.inf and hi > -math.inf)
 
     _NUMBERS = (-1.0, 0.0, 0.5, 1.0, float("inf"), float("nan"))
     #: Config field -> (the component that states its rule, the values the

@@ -18,7 +18,7 @@ from netdac.oracle import (
     offpolicy_fixed_point,
     stochastic_pg_estimate,
 )
-from netdac.policy import affine_policy, constant_policy
+from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 
 def _hand_chain(base=None):
@@ -371,6 +371,31 @@ class TestStochasticGradient:
             stochastic_pg_estimate(env, pol, -0.1, 10, np.random.default_rng(0))
         with pytest.raises(ValueError):
             stochastic_pg_estimate(env, pol, 0.1, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("which", ["offpolicy_fixed_point", "stochastic_pg_estimate"])
+def test_oracles_share_the_sigma_rule(which, sigma):
+    # GaussianNoise's rule (finite, >= 0) and sigma > 0, with a message naming
+    # sigma; NaN and inf once ran the quadrature into a non-finite kernel.
+    mdp = make_finite_mdp(3, 2, seed=0)
+    pol = _policy_for(mdp)
+    solve = {
+        "offpolicy_fixed_point": lambda: offpolicy_fixed_point(
+            mdp, pol, sigma, TabularFeatures(3, mdp.action_dims)
+        ),
+        "stochastic_pg_estimate": lambda: stochastic_pg_estimate(
+            mdp, pol, sigma, 10, np.random.default_rng(0)
+        ),
+    }[which]
+    try:
+        GaussianNoise(sigma)
+        want = "sigma must be positive"
+    except ValueError as exc:
+        want = str(exc)
+    with pytest.raises(ValueError) as got:
+        solve()
+    assert str(got.value) == want
 
 
 def _smoothed_j(mdp, pol, flat_theta, sigma):

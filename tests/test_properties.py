@@ -3,7 +3,8 @@ their edges (one agent, agents with different action dimensions, constant
 and affine policies), for the exact row forms and the frozen-actor critic
 segment built on them, for the finite MDP's transition sampler, for the
 joint environment action-gradients and the exact policy gradient built on
-them, and for divergence detection in the training loops."""
+them, for the pairwise critic disagreement, and for divergence detection in
+the training loops."""
 
 import copy
 import re
@@ -24,6 +25,7 @@ from netdac.approx import (
 )
 from netdac.dac import (
     Schedule,
+    TrainState,
     _actor_direction,
     _critic_segment,
     alg1_step,
@@ -225,17 +227,53 @@ def test_eval_rows_equal_eval(case, family, t):
 
 
 @_SETTINGS
-@given(st.integers(1, 10), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**16))
-def test_local_rewards_rows_equal_local_rewards(agents, m, t, seed):
+@given(
+    st.integers(1, 10),
+    st.integers(1, 50),
+    st.integers(1, 100),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**16),
+)
+def test_local_rewards_rows_equal_local_rewards(agents, m, t, log_scale, seed):
+    # Up to 50 action dimensions: past the 16-wide unroll of numpy's dot kernels.
     rng = np.random.default_rng(seed)
     for env in (make_bandit(agents, m, seed=seed), make_finite_mdp(3, agents, seed=seed)):
         n = sum(env.action_dims)
         states = [int(x) for x in rng.integers(0, env.state_count, size=t)]
-        acts = list(rng.normal(0.0, 3.0, size=(t, n)))
+        acts = list(rng.normal(0.0, 10.0**log_scale, size=(t, n)))
         got = env.local_rewards_rows(states, acts)
         assert got.shape == (t, agents)
         for row, s, a in zip(got, states, acts):
             assert row.tobytes() == env.local_rewards(s, a).tobytes()
+
+
+def _cube_disagreement(critic) -> float:
+    """The max over the (N, N, K) cube of pairwise critic differences."""
+    diffs = critic[:, None, :] - critic[None, :, :]
+    return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diffs, diffs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 260),
+    st.sampled_from([1e-3, 1.0, 1e3, 1e160]),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+def test_pairwise_disagreement_is_the_cube_form(n, k, scale, seed, non_finite):
+    rng = np.random.default_rng(seed)
+    critic = rng.normal(0.0, scale, size=(n, k))
+    if non_finite:
+        critic.flat[rng.integers(0, n * k, size=2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = TrainState(None, critic, None, 0, 0, None, {}).critic_disagreement
+        want = _cube_disagreement(critic)
+    # float.hex is bit for bit on numbers and spells every NaN alike, as the
+    # CSV does.
+    assert got.hex() == want.hex()
+    if n == 1 and not non_finite:
+        assert got == 0.0
 
 
 @st.composite

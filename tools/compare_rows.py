@@ -7,6 +7,8 @@ same N random configs: both algorithms, both environments, all feature maps,
 batch and online updates, every topology, link failures, polynomial
 schedules, rollout evaluation, binding projection boxes, and step sizes that
 diverge (critic steps x20 or x2000, actor steps x1e6 in a 1e12 box).  Every
+fifth config is wide (up to 10 agents, 20 action dimensions, batches of 40
+and 20 features), so products run past numpy's 16-wide dot unroll.  Every
 ``MetricsRow`` field but the wall clock is compared bit for bit (as
 ``float.hex``), and so is the message of any ``Diverged`` or other netdac
 error a run raises.  On each config's environment, ``exact_eval`` (every
@@ -67,6 +69,13 @@ def random_config(seed: int, index: int):
         cfg["critic_step"] *= pick(20.0, 2000.0)
     elif index % 3 == 1 and pick(True, False):
         cfg.update(actor_step=cfg["actor_step"] * 1e6, proj_lo=-1e12, proj_hi=1e12)
+    if index % 5 == 4:  # a wide shape, past the 16-wide unroll of numpy's dot kernels
+        cfg.update(
+            agents=int(rng.integers(2, 11)),
+            action_dim=int(rng.integers(8, 21)),
+            batch_size=int(rng.integers(16, 41)),
+            feature_count=int(rng.integers(16, 21)),
+        )
     return cfg, rng
 
 
