@@ -399,18 +399,18 @@ def stochastic_pg_estimate(
         m = int(mask.sum())
         if m == 0:
             continue
-        e = eps[mask]
+        e = eps if m == samples else eps[mask]
         batch = policy.act(s) + e
         rbar = mdp.mean_reward_batch(s, batch)
         rows = mdp.transition_row_batch(s, batch)
         adv = rbar - j_pi + rows @ v_pi - v_pi[s]
-        # Score of the Gaussian policy: d log pi / d theta = J_mu(s) eps / sigma^2,
-        # one column per sample (filled through its transpose).
-        scores = np.zeros((total_p, m))
-        policy.jac_apply(s, e / sigma**2, scores.T)
-        contrib = scores * adv[None, :]
+        # Score d log pi / d theta = J_mu(s) eps / sigma^2, one column per sample,
+        # and its products in place: fewer sample-sized arrays for malloc to page in.
+        contrib = np.zeros((total_p, m))
+        policy.jac_apply(s, np.divide(e, sigma**2, out=e), contrib.T)
+        contrib *= adv
         acc += contrib.sum(axis=1)
-        acc_sq += (contrib**2).sum(axis=1)
+        acc_sq += np.square(contrib, out=contrib).sum(axis=1)
     value = acc / samples
     var = np.maximum(acc_sq / samples - value**2, 0.0)
     stderr = np.sqrt(var / samples)
