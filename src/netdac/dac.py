@@ -461,4 +461,5 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
             step_fn(state, mdp, features, process, schedule, exploration, update_actor=True)
             if (t + 1) % batch_size == 0:
                 rows.append(eval_row((t + 1) // batch_size))
+        state.check_finite()  # the loop checks only every _FINITE_CHECK_EVERY steps
     return rows

@@ -30,6 +30,7 @@ __all__ = [
     "metropolis_weights",
     "GraphProcess",
     "check_failure_prob",
+    "expected_mixing",
     "ConsensusReport",
     "check_assumption_random_matrices",
 ]
@@ -68,12 +69,6 @@ class CommGraph:
             d[i] += 1
             d[j] += 1
         return d
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = True
-        return a
 
 
 def path_graph(n: int) -> CommGraph:
@@ -200,16 +195,31 @@ class GraphProcess:
         return int(np.count_nonzero(c) - np.count_nonzero(np.diag(c)))
 
 
+def expected_mixing(process: GraphProcess) -> tuple:
+    """(E[C], E[C^T J C]) of one step's matrix in closed form, J = I - 11^T/N.
+
+    A failed edge e = (i, j) adds w_e L_e to W, L_e = (e_i - e_j)(e_i - e_j)^T,
+    and sum_e w_e L_e = I - W.  So E[C] = (1 - p) W + p I, and E[C^T J C] =
+    E[C]^T J E[C] + p(1 - p) sum_e w_e^2 L_e J L_e with L_e J L_e = 2 L_e
+    (Boyd, Ghosh, Prabhakar & Shah 2006, "Randomized gossip algorithms").
+    """
+    n, p, w = process.base.n, process.failure_prob, process.base_weights
+    sq = w * w
+    np.fill_diagonal(sq, 0.0)  # w_e^2 at each edge's two entries
+    mean_c = (1.0 - p) * w + p * np.eye(n)
+    j_perp = np.eye(n) - np.ones((n, n)) / n
+    spread = np.diag(sq.sum(axis=1)) - sq  # sum_e w_e^2 L_e
+    return mean_c, mean_c.T @ j_perp @ mean_c + (2.0 * p * (1.0 - p)) * spread
+
+
 @dataclass(frozen=True)
 class ConsensusReport:
-    """Empirical check of the averaging-matrix assumptions.
+    """Exact check of the averaging-matrix assumptions, from :func:`expected_mixing`.
 
-    ``mixing_norm`` is the spectral norm of the estimated
-    E[C^T (I - 11^T/N) C]; values below 1 mean disagreement contracts in
-    expectation.
+    ``mixing_norm`` is the spectral norm of E[C^T (I - 11^T/N) C]; values
+    below 1 mean disagreement contracts in expectation.
     """
 
-    samples: int
     row_residual: float
     mean_col_residual: float
     min_positive_entry: float
@@ -217,41 +227,30 @@ class ConsensusReport:
     ok: bool
 
 
-def check_assumption_random_matrices(process: GraphProcess, samples: int = 1000) -> ConsensusReport:
-    """Sample C_t and test: rows stochastic per sample, mean column-stochastic,
-    positive entries bounded away from zero, and mean mixing matrix contractive."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    n = process.base.n
-    ones = np.ones(n)
-    j_perp = np.eye(n) - np.ones((n, n)) / n
-    acc = np.zeros((n, n))
-    mean_c = np.zeros((n, n))
-    row_res = 0.0
-    min_pos = np.inf
-    for _ in range(samples):
-        c = process.sample_weights()
-        row_res = max(row_res, float(np.max(np.abs(c @ ones - ones))))
-        pos = c[c > 0]
-        if pos.size:
-            min_pos = min(min_pos, float(pos.min()))
-        acc += c.T @ j_perp @ c
-        mean_c += c
-    acc /= samples
-    mean_c /= samples
-    col_res = float(np.max(np.abs(ones @ mean_c - ones)))
-    mix = np.linalg.norm(acc, 2)
+def check_assumption_random_matrices(process: GraphProcess) -> ConsensusReport:
+    """Test exactly, drawing nothing: rows stochastic per draw, mean column-stochastic,
+    positive entries bounded away from zero, and mean mixing matrix contractive.
+
+    Each draw is W plus zero-row-sum terms, so it has the row sums of E[C].  A
+    failure only zeroes off-diagonal entries and grows diagonal ones, so no draw
+    has a positive entry below W's smallest.
+    """
+    mean_c, mixing = expected_mixing(process)
+    w = process.base_weights
+    row_res = float(np.max(np.abs(mean_c.sum(axis=1) - 1.0)))
+    col_res = float(np.max(np.abs(mean_c.sum(axis=0) - 1.0)))
+    min_pos = float(w[w > 0].min())
+    mix = float(np.linalg.norm(mixing, 2))
     ok = (
         row_res <= 1e-12
         and col_res <= 1e-3
         and mix < 1.0 - 1e-6
-        and (min_pos >= MIN_POSITIVE_WEIGHT or not process.base.edges)
+        and min_pos >= MIN_POSITIVE_WEIGHT
     )
     return ConsensusReport(
-        samples=samples,
         row_residual=row_res,
         mean_col_residual=col_res,
-        min_positive_entry=float(min_pos) if np.isfinite(min_pos) else 1.0,
-        mixing_norm=float(mix),
+        min_positive_entry=min_pos,
+        mixing_norm=mix,
         ok=bool(ok),
     )

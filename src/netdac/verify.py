@@ -15,7 +15,8 @@ The registry covers:
   closed form;
 * the evaluation (Poisson) equations and both critic fixed points, including
   minimizer and quadrature-order consistency probes;
-* the consensus-matrix assumptions on static and randomly failing graphs;
+* the consensus-matrix assumptions on static and randomly failing graphs,
+  from the exact expected matrices (no sampling);
 * the stochastic-to-deterministic policy-gradient limit;
 * compatible-feature identities and feature gradients;
 * bit-level replay determinism of the experiment runner.
@@ -111,9 +112,7 @@ def _check_linalg_spectral_norm():
     for n in (3, 6, 9):
         for kind in ("path", "ring", "star", "complete"):
             graph = getattr(network, kind + "_graph")(n)
-            report = network.check_assumption_random_matrices(
-                network.GraphProcess(graph), samples=1
-            )
+            report = network.check_assumption_random_matrices(network.GraphProcess(graph))
             worst = max(worst, abs(report.mixing_norm - _metropolis_mixing_norm(kind, n)))
     detail = "mixing norm vs closed-form Metropolis spectra (path/ring/star/complete)"
     return worst, 0.0, 1e-12, detail
@@ -250,19 +249,16 @@ def _check_consensus_static():
 
 
 def _check_consensus_mixing():
-    worst = 0.0
-    for g in _static_graphs():
-        process = network.GraphProcess(g)
-        report = network.check_assumption_random_matrices(process, samples=3)
-        worst = max(worst, report.mixing_norm)
+    worst = max(
+        network.check_assumption_random_matrices(network.GraphProcess(g)).mixing_norm
+        for g in _static_graphs()
+    )
     return worst, 0.0, 1.0 - 1e-3, "static mixing norm on path/ring/star/complete(6)"
 
 
 def _check_consensus_failures():
-    process = network.GraphProcess(
-        network.path_graph(6), failure_prob=0.2, rng=np.random.default_rng(31)
-    )
-    report = network.check_assumption_random_matrices(process, samples=4000)
+    process = network.GraphProcess(network.path_graph(6), failure_prob=0.2)
+    report = network.check_assumption_random_matrices(process)
     stochasticity = max(report.row_residual, report.mean_col_residual)
     mixing_margin = max(0.0, report.mixing_norm - (1.0 - 1e-3))
     return (

@@ -515,6 +515,23 @@ class TestRunExperiment:
         with pytest.raises(Diverged):
             run_experiment(cfg, 0)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_in_the_last_online_steps_detected(self):
+        # 10 online steps, fewer than the 16 between the loop's own checks.
+        cfg = self.base_config(
+            update_mode="online",
+            batch_size=5,
+            batches=2,
+            actor_step=1e4,
+            critic_step=0.5,
+            sigma=0.5,
+            feature_centered=False,
+            proj_lo=-1e12,
+            proj_hi=1e12,
+        )
+        with pytest.raises(Diverged, match=r" at step 10$"):
+            run_experiment(cfg, 0)
+
     def test_comm_accounting(self):
         # Complete graph on 3 agents: 6 directed edges; compatible features
         # of dimension 2*3+1=7 plus the per-step Jacobian exchange
@@ -528,6 +545,24 @@ class TestRunExperiment:
         for _ in range(10):
             alg1_step(state, env, feats, proc, sch)
         assert state.comm_scalars == 10 * (7 * 6 + 12)
+
+    def test_comm_accounting_under_link_failures(self):
+        # Each of the |E| edges survives a step with probability 1 - p and
+        # then carries K scalars each way: over T steps the traffic has mean
+        # T (2K|E|(1 - p) + jacobian_scalars) and sd K sqrt(4T|E|p(1 - p)).
+        env = make_bandit(4, 2, seed=0)
+        pol = constant_policy(env.action_dims)
+        feats = CompatibleQFeatures(pol, centered=True, bias=True)
+        graph, p, steps = complete_graph(4), 0.3, 2000
+        proc = GraphProcess(graph, p, np.random.default_rng(5))
+        sch = Schedule("constant", 0.1, 0.01)
+        state = init_train_state(env, pol, feats, seed=0, algorithm="alg1")
+        for _ in range(steps):
+            alg1_step(state, env, feats, proc, sch)
+        k, e = feats.dim, len(graph.edges)
+        mean = steps * (2 * k * e * (1 - p) + feats.jacobian_scalars)
+        sd = k * np.sqrt(4 * steps * e * p * (1 - p))
+        assert abs(state.comm_scalars - mean) / sd < 4.0
 
 
 class TestBuildGraph:

@@ -1,14 +1,18 @@
 """Communication graphs, Metropolis weights, link failures, and consensus."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from netdac import network, verify
 from netdac.network import (
     CommGraph,
     GraphProcess,
     check_assumption_random_matrices,
     complete_graph,
     edgeless_graph,
+    expected_mixing,
     load_edge_list,
     metropolis_weights,
     path_graph,
@@ -25,12 +29,8 @@ class TestCommGraph:
         assert complete_graph(3).edges == ((0, 1), (0, 2), (1, 2))
         assert edgeless_graph(3).edges == ()
 
-    def test_degrees_and_adjacency(self):
-        g = star_graph(4)
-        np.testing.assert_array_equal(g.degrees(), [3, 1, 1, 1])
-        adj = g.adjacency()
-        assert adj[0, 3] and adj[3, 0] and not adj[1, 2]
-        np.testing.assert_array_equal(adj, adj.T)
+    def test_degrees(self):
+        np.testing.assert_array_equal(star_graph(4).degrees(), [3, 1, 1, 1])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ class TestMetropolisWeights:
         assert np.all(c >= 0)
         # Sparsity pattern matches the graph (plus the diagonal).
         off = c - np.diag(np.diag(c))
-        np.testing.assert_array_equal(off > 0, graph.adjacency())
+        np.testing.assert_array_equal(np.argwhere(np.triu(off) > 0), graph.edges)
 
 
 class TestGraphProcess:
@@ -178,7 +178,7 @@ class TestAssumptionChecks:
         ids=["path", "ring", "star", "complete"],
     )
     def test_static_connected_graphs_pass(self, graph):
-        report = check_assumption_random_matrices(GraphProcess(graph), samples=50)
+        report = check_assumption_random_matrices(GraphProcess(graph))
         assert report.ok
         assert report.row_residual <= 1e-12
         assert report.mean_col_residual <= 1e-3
@@ -186,7 +186,7 @@ class TestAssumptionChecks:
 
     def test_link_failures_pass(self):
         proc = GraphProcess(ring_graph(5), 0.3, np.random.default_rng(1))
-        report = check_assumption_random_matrices(proc, samples=3000)
+        report = check_assumption_random_matrices(proc)
         assert report.ok
 
     @pytest.mark.parametrize("n", [3, 4, 7])
@@ -204,10 +204,76 @@ class TestAssumptionChecks:
         for graph, norm in zip(
             (path_graph(n), ring_graph(n), star_graph(n), complete_graph(n)), want.values()
         ):
-            report = check_assumption_random_matrices(GraphProcess(graph), samples=1)
+            report = check_assumption_random_matrices(GraphProcess(graph))
             assert report.mixing_norm == pytest.approx(norm, abs=1e-12)
 
     def test_edgeless_graph_fails_mixing(self):
-        report = check_assumption_random_matrices(GraphProcess(edgeless_graph(4)), samples=5)
+        report = check_assumption_random_matrices(GraphProcess(edgeless_graph(4)))
         assert not report.ok
         assert report.mixing_norm >= 1.0 - 1e-9
+
+    def test_draws_nothing(self):
+        proc = GraphProcess(ring_graph(5), 0.3, np.random.default_rng(1))
+        before = proc.rng.bit_generator.state
+        assert check_assumption_random_matrices(proc).ok
+        assert proc.rng.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "name", ["linalg_spectral_norm", "consensus_static_mixing", "consensus_link_failures"]
+    )
+    def test_verify_consensus_checks_draw_nothing(self, name, monkeypatch):
+        made = []
+
+        class RecordingProcess(GraphProcess):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append((self, self.rng.bit_generator.state))
+
+        monkeypatch.setattr(network, "GraphProcess", RecordingProcess)
+        (record,) = verify.run_checks([name])
+        assert record.passed and made
+        for proc, before in made:
+            assert proc.rng.bit_generator.state == before
+
+
+class _PatternRng:
+    """Stands in for a generator: ``random(n)`` gives 0.0 (fail) or 1.0 (survive) per edge."""
+
+    def __init__(self, failed):
+        self.failed = failed
+
+    def random(self, n):
+        assert n == len(self.failed)
+        return np.where(self.failed, 0.0, 1.0)
+
+
+class TestExpectedMixing:
+    """The closed form against the exact mean over all 2^|E| failure patterns."""
+
+    @pytest.mark.parametrize(
+        "graph, p",
+        [
+            (path_graph(5), 0.2),
+            (ring_graph(5), 0.3),
+            (star_graph(4), 0.95),
+            (complete_graph(4), 0.5),
+            (edgeless_graph(3), 0.4),
+            (complete_graph(1), 0.3),
+            (path_graph(4), 0.0),
+        ],
+        ids=["path5", "ring5", "star4", "complete4", "edgeless3", "single", "path4-p0"],
+    )
+    def test_matches_enumeration(self, graph, p):
+        n, m = graph.n, len(graph.edges)
+        j_perp = np.eye(n) - np.ones((n, n)) / n
+        mean_c, mixing = np.zeros((n, n)), np.zeros((n, n))
+        for failed in itertools.product((False, True), repeat=m):
+            # Each C is built by the simulator's own sampler.
+            c = GraphProcess(graph, p, _PatternRng(np.array(failed, dtype=bool))).sample_weights()
+            k = sum(failed)
+            weight = p**k * (1.0 - p) ** (m - k)
+            mean_c += weight * c
+            mixing += weight * (c.T @ j_perp @ c)
+        got_mean, got_mixing = expected_mixing(GraphProcess(graph, p))
+        np.testing.assert_allclose(got_mean, mean_c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_mixing, mixing, rtol=0, atol=1e-12)
