@@ -192,7 +192,8 @@ class GraphProcess:
         """Number of directed messages one averaging round over ``c`` sends."""
         if c is self.base_weights:
             return self._base_directed
-        return int(np.count_nonzero(c) - np.count_nonzero(np.diag(c)))
+        # Each diagonal entry is >= 1 / (1 + degree) > 0, and a failed edge only grows it.
+        return int(np.count_nonzero(c)) - len(c)
 
 
 def expected_mixing(process: GraphProcess) -> tuple:

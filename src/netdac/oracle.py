@@ -18,13 +18,15 @@ simulation:
 * :func:`offpolicy_fixed_point` — the weight vector the decentralized
   averaged-reward critic converges to under a Gaussian behavior policy,
   computed with Gauss-Hermite quadrature over actions (Monte Carlo fallback
-  for high-dimensional joint actions).
+  for high-dimensional joint actions).  Each tensor grid is built once per
+  (dimension, order) and shared read-only; Monte-Carlo draws are never kept.
 * :func:`stochastic_pg_estimate` — a score-function estimator of the policy
   gradient under the Gaussian-smoothed policy, with exact (quadrature-based)
   advantages, used to check that stochastic policy gradients approach the
   deterministic one as the smoothing scale shrinks.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -257,22 +259,30 @@ class QuadratureConfig:
             raise ValueError("invalid quadrature configuration")
 
 
+@functools.lru_cache(maxsize=32)
+def _hermite_grid(n_dim: int, order: int):
+    """Tensor Gauss-Hermite nodes (T, n_dim) and weights (T,), read-only, one per key."""
+    x, w = np.polynomial.hermite.hermgauss(order)
+    grids = np.array(list(itertools.product(x, repeat=n_dim)))
+    weights = np.prod(np.array(list(itertools.product(w, repeat=n_dim))), axis=1)
+    weights /= np.pi ** (n_dim / 2.0)
+    grids.flags.writeable = weights.flags.writeable = False
+    return grids, weights
+
+
 def _gaussian_nodes(n_dim: int, sigma: float, quad: QuadratureConfig):
     """Offsets and weights such that E[f(mu + eps)] ~= sum_k w_k f(mu + off_k).
 
     sigma follows ``GaussianNoise``'s rule (finite, >= 0) and must be > 0.
-    Returns (offsets (T, n_dim), weights (T,)).
+    Returns (offsets (T, n_dim), weights (T,)).  The tensor grid is built once
+    per (n_dim, order) and its weights are shared read-only; Monte-Carlo draws
+    are fresh on every call and never kept.
     """
     if GaussianNoise(sigma).sigma == 0.0:
         raise ValueError("sigma must be positive")
     if n_dim <= quad.max_dim:
-        x, w = np.polynomial.hermite.hermgauss(quad.order)
-        grids = np.array(list(itertools.product(x, repeat=n_dim)))
-        weights = np.prod(
-            np.array(list(itertools.product(w, repeat=n_dim))), axis=1
-        ) / np.pi ** (n_dim / 2.0)
-        offsets = np.sqrt(2.0) * sigma * grids
-        return offsets, weights
+        grids, weights = _hermite_grid(n_dim, quad.order)
+        return np.sqrt(2.0) * sigma * grids, weights
     rng = np.random.default_rng(quad.mc_seed)
     offsets = sigma * rng.standard_normal((quad.mc_samples, n_dim))
     weights = np.full(quad.mc_samples, 1.0 / quad.mc_samples)
@@ -394,23 +404,23 @@ def stochastic_pg_estimate(
     acc_sq = np.zeros(total_p)
     states = rng.choice(n_s, size=samples, p=d_pi) if n_s > 1 else np.zeros(samples, int)
     eps = sigma * rng.standard_normal((samples, n_total))
-    for s in range(n_s):
-        mask = states == s
-        m = int(mask.sum())
+    counts = np.bincount(states, minlength=n_s)
+    if counts.max() < samples:  # a stable sort keeps each state's draw order
+        eps = eps[np.argsort(states, kind="stable")]
+    for s, (m, stop) in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())):
         if m == 0:
             continue
-        e = eps if m == samples else eps[mask]
+        e = eps[stop - m : stop]
         batch = policy.act(s) + e
-        rbar = mdp.mean_reward_batch(s, batch)
-        rows = mdp.transition_row_batch(s, batch)
-        adv = rbar - j_pi + rows @ v_pi - v_pi[s]
-        # Score d log pi / d theta = J_mu(s) eps / sigma^2, one column per sample,
-        # and its products in place: fewer sample-sized arrays for malloc to page in.
-        contrib = np.zeros((total_p, m))
-        policy.jac_apply(s, np.divide(e, sigma**2, out=e), contrib.T)
-        contrib *= adv
-        acc += contrib.sum(axis=1)
-        acc_sq += np.square(contrib, out=contrib).sum(axis=1)
+        adv = mdp.mean_reward_batch(s, batch) - j_pi
+        adv += mdp.transition_row_batch(s, batch) @ v_pi
+        adv -= v_pi[s]
+        # Score J_mu(s) eps / sigma^2: J_mu(s) copies coordinates, so sum each coordinate's
+        # C-ordered row (numpy's pairwise order), in the batch's memory (nothing to page in).
+        score = np.divide(e.T, sigma**2, out=batch.reshape(n_total, m))
+        score *= adv
+        acc += policy.jac_apply(s, score.sum(axis=1), np.zeros(total_p))
+        acc_sq += policy.jac_apply(s, np.square(score, out=score).sum(axis=1), np.zeros(total_p))
     value = acc / samples
     var = np.maximum(acc_sq / samples - value**2, 0.0)
     stderr = np.sqrt(var / samples)

@@ -277,3 +277,19 @@ class TestExpectedMixing:
         got_mean, got_mixing = expected_mixing(GraphProcess(graph, p))
         np.testing.assert_allclose(got_mean, mean_c, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_mixing, mixing, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(5), ring_graph(5), star_graph(4), complete_graph(4), edgeless_graph(3),
+         complete_graph(1)],
+        ids=["path5", "ring5", "star4", "complete4", "edgeless3", "single"],
+    )
+    def test_directed_edge_count_matches_off_diagonal_nonzeros(self, graph):
+        # Every failure pattern, built by the simulator's own sampler.
+        off_diagonal = ~np.eye(graph.n, dtype=bool)
+        for failed in itertools.product((False, True), repeat=len(graph.edges)):
+            proc = GraphProcess(graph, 0.5, _PatternRng(np.array(failed, dtype=bool)))
+            c = proc.sample_weights()
+            count = proc.directed_edge_count(c)
+            assert type(count) is int
+            assert count == np.count_nonzero(c[off_diagonal]) == 2 * (len(failed) - sum(failed))

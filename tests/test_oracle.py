@@ -420,3 +420,133 @@ def _smoothed_j(mdp, pol, flat_theta, sigma):
         return float(d @ reward)
     finally:
         pol.set_theta_flat(saved)
+
+
+def _reference_nodes(n_dim, sigma, order):
+    """The tensor grid as it was built inline on every call, before the grid cache."""
+    import itertools
+
+    x, w = np.polynomial.hermite.hermgauss(order)
+    grids = np.array(list(itertools.product(x, repeat=n_dim)))
+    weights = np.prod(
+        np.array(list(itertools.product(w, repeat=n_dim))), axis=1
+    ) / np.pi ** (n_dim / 2.0)
+    offsets = np.sqrt(2.0) * sigma * grids
+    return offsets, weights
+
+
+class TestGaussianNodes:
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_cached_grid_matches_inline_construction(self, n_dim):
+        from netdac.oracle import _gaussian_nodes  # internal
+
+        for order in range(1, 16):
+            for sigma in (1e-3, 0.1, 0.3, 0.5, 2.0):
+                quad = QuadratureConfig(order=order)
+                for _ in range(2):  # a fresh grid, then the cached one
+                    got = _gaussian_nodes(n_dim, sigma, quad)
+                    want = _reference_nodes(n_dim, sigma, order)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+
+    def test_shared_weights_are_read_only(self):
+        from netdac.oracle import _gaussian_nodes  # internal
+
+        offsets, weights = _gaussian_nodes(2, 0.1, QuadratureConfig(order=5))
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+        offsets[0] = 7.0  # the offsets are the caller's own
+        again_offsets, again_weights = _gaussian_nodes(2, 0.1, QuadratureConfig(order=5))
+        assert again_weights is weights
+        assert again_offsets[0, 0] != 7.0
+
+    def test_monte_carlo_draws_are_fresh_and_writable(self):
+        from netdac.oracle import _gaussian_nodes  # internal
+
+        quad = QuadratureConfig(max_dim=0, mc_samples=50, mc_seed=3)
+        first = _gaussian_nodes(2, 0.1, quad)
+        second = _gaussian_nodes(2, 0.1, quad)
+        for a, b in zip(first, second):
+            assert a is not b and not np.shares_memory(a, b)
+            assert a.flags.writeable and b.flags.writeable
+            assert a.tobytes() == b.tobytes()
+        first[0][:] = 0.0
+        first[1][:] = 0.0
+        third = _gaussian_nodes(2, 0.1, quad)
+        assert third[0].tobytes() == second[0].tobytes()
+        assert third[1].tobytes() == second[1].tobytes()
+
+
+def _reference_pg_estimate(mdp, policy, sigma, samples, rng, quad=QuadratureConfig()):
+    """``stochastic_pg_estimate`` as it was: a mask and a copy per state, and the
+    (params, samples) score products scattered by ``jac_apply`` and summed per row."""
+    from netdac.oracle import StochasticGradient, _gaussian_nodes, _poisson_solve  # internal
+
+    n_s = mdp.state_count
+    n_total = sum(mdp.action_dims)
+    offsets, weights = _gaussian_nodes(n_total, sigma, quad)
+    kernel_pi = np.empty((n_s, n_s))
+    reward_pi = np.empty(n_s)
+    for s in range(n_s):
+        batch = policy.act(s) + offsets
+        kernel_pi[s] = weights @ mdp.transition_row_batch(s, batch)
+        reward_pi[s] = weights @ mdp.mean_reward_batch(s, batch)
+    kernel_pi = np.clip(kernel_pi, 0.0, None)
+    kernel_pi /= kernel_pi.sum(axis=1, keepdims=True)
+    d_pi, j_pi, v_pi = _poisson_solve(kernel_pi, reward_pi)
+
+    total_p = policy.total_param_dim
+    acc = np.zeros(total_p)
+    acc_sq = np.zeros(total_p)
+    states = rng.choice(n_s, size=samples, p=d_pi) if n_s > 1 else np.zeros(samples, int)
+    eps = sigma * rng.standard_normal((samples, n_total))
+    for s in range(n_s):
+        mask = states == s
+        m = int(mask.sum())
+        if m == 0:
+            continue
+        e = eps if m == samples else eps[mask]
+        batch = policy.act(s) + e
+        rbar = mdp.mean_reward_batch(s, batch)
+        rows = mdp.transition_row_batch(s, batch)
+        adv = rbar - j_pi + rows @ v_pi - v_pi[s]
+        contrib = np.zeros((total_p, m))
+        policy.jac_apply(s, np.divide(e, sigma**2, out=e), contrib.T)
+        contrib *= adv
+        acc += contrib.sum(axis=1)
+        acc_sq += np.square(contrib, out=contrib).sum(axis=1)
+    value = acc / samples
+    var = np.maximum(acc_sq / samples - value**2, 0.0)
+    stderr = np.sqrt(var / samples)
+    return StochasticGradient(value=value, stderr=stderr, samples=samples)
+
+
+def _estimator_case(name):
+    """(mdp, policy, quadrature) of one bit-comparison case."""
+    rng = np.random.default_rng({"bandit": 1, "mdp5": 2, "mdp20": 3}[name])
+    if name == "bandit":
+        env = make_bandit(3, 1, seed=5)
+        pol = constant_policy(env.action_dims, [rng.uniform(-2.0, 2.0, size=1) for _ in range(3)])
+        return env, pol, QuadratureConfig()
+    states, agents = (5, 3) if name == "mdp5" else (20, 10)
+    mdp = make_finite_mdp(states, agents, seed=6)
+    pol = affine_policy(states, mdp.action_dims)
+    pol.set_theta_flat(rng.uniform(-0.5, 0.5, size=pol.total_param_dim))
+    # Ten action dimensions take the Monte-Carlo branch; a small draw keeps it quick.
+    return mdp, pol, QuadratureConfig(mc_samples=2000)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5])
+@pytest.mark.parametrize("samples", [1, 2, 7, 20_000])
+@pytest.mark.parametrize("name", ["bandit", "mdp5", "mdp20"])
+def test_pg_estimate_bits_match_per_state_scatter(name, samples, sigma):
+    # With 1, 2 or 7 samples some states get none, and one state may hold all.
+    mdp, pol, quad = _estimator_case(name)
+    for seed in range(3):
+        got = stochastic_pg_estimate(mdp, pol, sigma, samples, np.random.default_rng(seed), quad)
+        want = _reference_pg_estimate(mdp, pol, sigma, samples, np.random.default_rng(seed), quad)
+        assert got.samples == want.samples
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.stderr.tobytes() == want.stderr.tobytes()

@@ -11,9 +11,14 @@ fifth config is wide (up to 10 agents, 20 action dimensions, batches of 40
 and 20 features), so products run past numpy's 16-wide dot unroll.  Every
 ``MetricsRow`` field but the wall clock is compared bit for bit (as
 ``float.hex``), and so is the message of any ``Diverged`` or other netdac
-error a run raises.  On each config's environment, ``exact_eval`` (every
-field) and ``exact_policy_gradient`` are compared byte for byte too, under
-the config's policy with parameters drawn from the config's own generator.
+error a run raises.  On each config's environment, the exact oracles are
+compared byte for byte too, under the config's policy with parameters drawn
+from the config's own generator: ``exact_eval`` (every field),
+``exact_policy_gradient``, ``stochastic_pg_estimate`` (value and stderr, from
+300 samples of that generator, at the config's sigma or 0.1 when it is 0) and
+``offpolicy_fixed_point``'s ``lam`` with the config's features, or the message
+of the netdac error it raises (e.g. ``NearSingularB``).  Both draw on 500
+Monte-Carlo nodes when the joint action has more than 3 dimensions.
 The script prints the first config that differs and exits 1, or prints a
 summary and exits 0 when all rows, messages and oracle bytes agree.
 """
@@ -80,19 +85,32 @@ def random_config(seed: int, index: int):
 
 
 def oracle_bytes(cfg, rng) -> list:
-    """Hex bytes of ``exact_eval`` (field by field) and ``exact_policy_gradient`` on the
-    config's environment, under its policy with parameters drawn from ``rng``."""
+    """Hex bytes of ``exact_eval`` (field by field), ``exact_policy_gradient``,
+    ``stochastic_pg_estimate`` (value and stderr) and ``offpolicy_fixed_point``'s ``lam``
+    (or the message of the netdac error it raises) on the config's environment, under its
+    policy with parameters and samples drawn from ``rng``."""
     import numpy as np
 
     from netdac import oracle
-    from netdac.dac import build_mdp, build_policy
+    from netdac.dac import build_features, build_mdp, build_policy
+    from netdac.errors import NetdacError
 
     mdp = build_mdp(cfg)
     policy = build_policy(cfg, mdp)
     policy.set_theta_flat(rng.uniform(-2.0, 2.0, policy.total_param_dim))
     ev = oracle.exact_eval(mdp, policy)
     arrays = list(vars(ev).values()) + [oracle.exact_policy_gradient(mdp, policy)]
-    return [np.ascontiguousarray(a, dtype=float).tobytes().hex() for a in arrays]
+    # Joint actions of more than 3 dimensions take the Monte-Carlo branch: a small draw.
+    sigma, quad = cfg.sigma or 0.1, oracle.QuadratureConfig(mc_samples=500)
+    est = oracle.stochastic_pg_estimate(mdp, policy, sigma, 300, rng, quad)
+    arrays += [est.value, est.stderr]
+    out = [np.ascontiguousarray(a, dtype=float).tobytes().hex() for a in arrays]
+    features = build_features(cfg, mdp, policy)
+    try:
+        lam = oracle.offpolicy_fixed_point(mdp, policy, sigma, features, quad).lam
+    except NetdacError as exc:
+        return out + [f"{type(exc).__name__}: {exc}"]
+    return out + [np.ascontiguousarray(lam, dtype=float).tobytes().hex()]
 
 
 def run_configs(seed: int, count: int):
@@ -155,9 +173,11 @@ def main(argv=None) -> int:
             print(f"  change: {b}")
             return 1
     diverged = sum("error" in a for a in parent)
+    lam_errors = sum(":" in a["oracle"][-1] for a in parent)  # hex has no colon; messages do
     print(
         f"{len(parent)} configs identical ({diverged} raised, with identical messages; "
-        "identical exact_eval and exact_policy_gradient bytes)"
+        "identical exact_eval, exact_policy_gradient, stochastic_pg_estimate and "
+        f"offpolicy_fixed_point bytes or messages, {lam_errors} of them messages)"
     )
     return 0
 
