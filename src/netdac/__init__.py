@@ -43,6 +43,7 @@ from .network import (
 from .oracle import (
     QuadratureConfig,
     exact_eval,
+    exact_gain,
     exact_policy_gradient,
     mspbe_fixed_point,
     offpolicy_fixed_point,

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import MetricsRow, RunConfig, load_config, serialize_config
 from .dac import run_experiment
-from .errors import Diverged, NetdacError
+from .errors import ConfigError, Diverged, NetdacError
 from .verify import format_report, run_checks
 
 __all__ = ["main", "write_csv", "write_mean_csv", "CSV_HEADER"]
@@ -89,10 +89,16 @@ def _run_seed(args) -> list:
 
 def _cmd_run(config_path: str) -> int:
     config = load_config(config_path)
-    workers = max(1, int(os.environ.get("NETDAC_MAX_WORKERS", "1")))
+    value = os.environ.get("NETDAC_MAX_WORKERS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(f"NETDAC_MAX_WORKERS must be an integer, got {value!r}") from None
+    # A pool forks all its workers up front: never more than there are seeds.
+    workers = max(1, min(workers, len(config.seeds)))
     rows = []
     try:
-        if workers == 1 or len(config.seeds) == 1:
+        if workers == 1:
             for seed in config.seeds:
                 rows.extend(run_experiment(config, seed))
         else:

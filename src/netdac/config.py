@@ -97,7 +97,6 @@ class RunConfig:
     critic_warm_start: bool = False
     proj_lo: float = -1e3
     proj_hi: float = 1e3
-    eval_rollout: int = 0
     output: str = "runs.csv"
 
     def __post_init__(self):
@@ -139,8 +138,6 @@ class RunConfig:
             raise ConfigError("batches must be >= 0")
         if self.actor_grad not in _ACTOR_GRADS:
             raise ConfigError(f"actor_grad must be one of {_ACTOR_GRADS}")
-        if self.eval_rollout < 0:
-            raise ConfigError("eval_rollout must be >= 0")
 
     @property
     def step_sizes(self) -> Schedule:

@@ -67,8 +67,9 @@ from .approx import (
 from .config import MetricsRow, RunConfig, Schedule
 from .env import NetworkedMdp, make_bandit, make_finite_mdp
 from .errors import ConfigError, Diverged
-from .linalg import project_box, stationary_distribution
+from .linalg import project_box
 from .network import CommGraph, GraphProcess, load_edge_list
+from .oracle import exact_gain
 from .policy import GaussianNoise, PolicySet, affine_policy, constant_policy
 from .seeding import substream
 
@@ -290,33 +291,9 @@ def alg2_step(
     return state
 
 
-def evaluate_policy_cost(
-    mdp: NetworkedMdp, policy: PolicySet, rollout_steps: int = 0, rng=None
-) -> float:
-    """Cost of the deterministic policy: the negated long-run average reward.
-
-    With ``rollout_steps = 0`` the cost is computed exactly from the
-    stationary distribution of the policy-induced chain (both provided
-    environments expose exact transition rows).  Otherwise it is estimated
-    from a single noise-free rollout of that many steps.
-    """
-    if rollout_steps > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        s = 0
-        total = 0.0
-        for _ in range(rollout_steps):
-            acts = policy.act(s)
-            total += mdp.mean_reward(s, acts)
-            s = mdp.transition(s, acts, rng)
-        return -total / rollout_steps
-    n_s = mdp.state_count
-    if n_s == 1:  # the stationary distribution is ones(1): the same float, no solve
-        return float(-mdp.mean_reward(0, policy.act(0)))
-    rows = np.stack([mdp.transition_row(s, policy.act(s)) for s in range(n_s)])
-    d = stationary_distribution(rows)
-    rbar = np.array([mdp.mean_reward(s, policy.act(s)) for s in range(n_s)])
-    return float(-(d @ rbar))
+def evaluate_policy_cost(mdp: NetworkedMdp, policy: PolicySet) -> float:
+    """Cost of the deterministic policy: the negated exact long-run average reward."""
+    return -exact_gain(mdp, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +397,10 @@ def run_experiment(config: RunConfig, seed: int = None) -> list:
     )
     step_fn = alg1_step if config.algorithm == "alg1" else alg2_step
     run_id = f"{config.algorithm}-{config.kind}-m{config.action_dim}-s{seed}"
-    eval_rng = substream(seed, "eval") if config.eval_rollout > 0 else None
     start = time.perf_counter()
 
     def eval_row(batch: int) -> MetricsRow:
-        cost = evaluate_policy_cost(mdp, policy, config.eval_rollout, eval_rng)
+        cost = evaluate_policy_cost(mdp, policy)
         if config.algorithm == "alg1":
             mean_jhat = float(state.jhat.mean())
         else:

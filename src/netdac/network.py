@@ -93,16 +93,14 @@ def edgeless_graph(n: int) -> CommGraph:
     return CommGraph(n, ())
 
 
-def load_edge_list(text: str, n: int = None) -> CommGraph:
-    """Parse an edge-list description: one ``i j`` pair per line.
+def load_edge_list(text: str, n: int) -> CommGraph:
+    """Parse an edge-list description of ``n`` nodes: one ``i j`` pair per line.
 
-    Blank lines and ``#`` comments are ignored.  Node count defaults to
-    1 + the largest index mentioned; pass ``n`` to include isolated nodes
-    (every index must then be below ``n``).  Malformed lines raise
+    Blank lines and ``#`` comments are ignored; a node no line names is
+    isolated.  Malformed lines and indices outside ``range(n)`` raise
     ``ValueError`` naming the line.
     """
     edges = []
-    top = -1
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -118,14 +116,10 @@ def load_edge_list(text: str, n: int = None) -> CommGraph:
             raise ValueError(f"edge list line {ln}: self-loop {i}")
         if i < 0 or j < 0:
             raise ValueError(f"edge list line {ln}: negative node index")
-        if n is not None and max(i, j) >= n:
+        if max(i, j) >= n:
             raise ValueError(f"edge list line {ln}: node {max(i, j)} out of range for {n} nodes")
         edges.append((min(i, j), max(i, j)))
-        top = max(top, i, j)
-    count = (top + 1) if n is None else int(n)
-    if count < 1:
-        raise ValueError("graph needs at least one node")
-    return CommGraph(count, tuple(sorted(set(edges))))
+    return CommGraph(n, tuple(sorted(set(edges))))
 
 
 def metropolis_weights(graph: CommGraph) -> np.ndarray:

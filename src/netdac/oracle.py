@@ -9,6 +9,8 @@ simulation:
 * :func:`exact_eval` — stationary distribution, long-run average reward, and
   differential (bias) values of a deterministic policy, via one dense solve
   of the average-reward evaluation equations.
+* :func:`exact_gain` — the long-run average reward alone, without the bias
+  solve: the cost every training row reports is its negation.
 * :func:`exact_policy_gradient` — the deterministic policy gradient
   assembled from the environment's exact joint action-gradients of the
   average reward and of the kernel contracted with the differential values.
@@ -41,6 +43,7 @@ from .policy import GaussianNoise, PolicySet
 __all__ = [
     "ExactEval",
     "exact_eval",
+    "exact_gain",
     "exact_policy_gradient",
     "MspbeFixedPoint",
     "mspbe_fixed_point",
@@ -95,14 +98,27 @@ def _poisson_solve(kernel: np.ndarray, reward: np.ndarray):
     return d, j, v
 
 
+def _policy_chain(mdp: NetworkedMdp, policy: PolicySet):
+    """The chain mu induces: kernel P(s' | s, mu(s)) and reward Rbar(s, mu(s))."""
+    acts = [policy.act(s) for s in range(mdp.state_count)]
+    kernel = np.stack([mdp.transition_row(s, a) for s, a in enumerate(acts)])
+    reward = np.array([mdp.mean_reward(s, a) for s, a in enumerate(acts)])
+    return kernel, reward
+
+
 def exact_eval(mdp: NetworkedMdp, policy: PolicySet) -> ExactEval:
     """Evaluate the deterministic policy mu exactly."""
-    n_s = mdp.state_count
-    acts = [policy.act(s) for s in range(n_s)]
-    kernel = np.stack([mdp.transition_row(s, acts[s]) for s in range(n_s)])
-    reward = np.array([mdp.mean_reward(s, acts[s]) for s in range(n_s)])
+    kernel, reward = _policy_chain(mdp, policy)
     d, j, v = _poisson_solve(kernel, reward)
     return ExactEval(kernel=kernel, stationary=d, reward=reward, gain=j, bias=v)
+
+
+def exact_gain(mdp: NetworkedMdp, policy: PolicySet) -> float:
+    """Long-run average reward J = d . Rbar of mu: ``exact_eval``'s gain, no bias solve."""
+    if mdp.state_count == 1:  # d is (1,): the same float, no chain and no solve
+        return float(mdp.mean_reward(0, policy.act(0)))
+    kernel, reward = _policy_chain(mdp, policy)
+    return float(stationary_distribution(kernel) @ reward)
 
 
 # ---------------------------------------------------------------------------

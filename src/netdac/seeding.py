@@ -7,8 +7,8 @@ others.  Streams are derived with ``numpy.random.SeedSequence`` keyed by the
 run seed plus a stable hash of the stream label.
 
 A training run draws from "env", "graph" and one action stream: "noise"
-under alg1 (exploration) and "behavior" under alg2 (the behavior policy),
-plus "eval" when the policy cost is estimated by rollouts.
+under alg1 (exploration) and "behavior" under alg2 (the behavior policy).
+Its policy cost is exact and draws nothing.
 """
 
 import hashlib

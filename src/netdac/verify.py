@@ -59,9 +59,9 @@ def _fd_policy_gradient(mdp, policy, h: float = 1e-6) -> np.ndarray:
         hi[k] += h
         lo[k] -= h
         work.set_theta_flat(hi)
-        j_hi = oracle.exact_eval(mdp, work).gain
+        j_hi = oracle.exact_gain(mdp, work)
         work.set_theta_flat(lo)
-        j_lo = oracle.exact_eval(mdp, work).gain
+        j_lo = oracle.exact_gain(mdp, work)
         grad[k] = (j_hi - j_lo) / (2 * h)
     return grad
 

@@ -1,10 +1,14 @@
 """Config parsing, seeded sub-streams, CSV output, and the CLI surface."""
 
+import dataclasses
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
+from netdac import cli
 from netdac.cli import CSV_HEADER, main, write_csv, write_mean_csv
 from netdac.config import (
     MetricsRow,
@@ -19,6 +23,8 @@ from netdac.network import GraphProcess, path_graph
 from netdac.policy import GaussianNoise, constant_policy
 from netdac.seeding import substream
 from netdac.verify import format_report, registered_checks, run_checks
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 class TestParseConfig:
@@ -90,10 +96,19 @@ class TestParseConfig:
             batch_size=17,
             batches=9,
             critic_warm_start=True,
-            eval_rollout=100,
             output="other.csv",
         )
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_readme_table_lists_every_key(self):
+        # The README's config table is the key reference: one row per field,
+        # "`a` / `b`" rows naming two.
+        with open(README, encoding="utf-8") as fh:
+            lines = fh.read().split("| key | default | meaning |\n", 1)[1].splitlines()
+        keys = []
+        for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[1:]):
+            keys += [k.strip(" `") for k in line.split("|")[1].split(" / ")]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 class TestValidation:
@@ -121,7 +136,7 @@ class TestValidation:
             dict(batches=-1),
             dict(actor_grad="mean"),
             dict(proj_lo=1.0, proj_hi=-1.0),
-            dict(eval_rollout=-1),
+            dict(topology="edgelist"),
             dict(sigma=float("nan")),
             dict(sigma=float("inf")),
             dict(critic_step=float("nan")),
@@ -212,7 +227,7 @@ class TestSeeding:
         np.testing.assert_array_equal(a, b)
 
     def test_labels_are_independent(self):
-        labels = ("env", "noise", "graph", "behavior", "eval")
+        labels = ("env", "noise", "graph", "behavior")
         draws = {lab: substream(0, lab).standard_normal(4) for lab in labels}
         labs = list(draws)
         for k in range(len(labs)):
@@ -318,6 +333,44 @@ class TestCli:
             outputs[workers] = (body, (tmp_path / f"w{workers}_mean.csv").read_text())
         assert outputs["1"] == outputs["2"]
         assert len(outputs["1"][0]) == 1 + 2 * 5 + 2
+
+    @pytest.mark.parametrize("value, pool", [("64", 2), ("2", 2), ("0", None), ("-3", None)])
+    def test_run_workers_clamped_to_seeds(self, tmp_path, monkeypatch, value, pool):
+        # A pool forks all its workers up front, so it never gets more than the seeds.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("NETDAC_MAX_WORKERS", value)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "agents = 2\naction_dim = 1\nseeds = 3, 8\nbatches = 1\n"
+            f"output = {tmp_path / 'run.csv'}\n"
+        )
+        assert main(["run", str(cfg_path)]) == 0
+        assert sizes == ([] if pool is None else [pool])
+
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_run_non_integer_workers_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("NETDAC_MAX_WORKERS", value)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"seeds = 0\nbatches = 1\noutput = {tmp_path / 'run.csv'}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NETDAC_MAX_WORKERS must be an integer")
+        assert not (tmp_path / "run.csv").exists()
 
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

@@ -329,20 +329,6 @@ class TestEvaluatePolicyCost:
         pol = constant_policy(mdp.action_dims)
         assert evaluate_policy_cost(mdp, pol) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_rollout_approximates_exact(self):
-        mdp = make_finite_mdp(3, 2, seed=8)
-        pol = constant_policy(mdp.action_dims)
-        exact = evaluate_policy_cost(mdp, pol)
-        rolled = evaluate_policy_cost(mdp, pol, rollout_steps=60_000, rng=np.random.default_rng(0))
-        assert abs(rolled - exact) < 0.02
-
-    def test_rollout_on_bandit_is_exact(self):
-        env = make_bandit(2, 1, seed=9)
-        pol = constant_policy(env.action_dims)
-        assert evaluate_policy_cost(env, pol, rollout_steps=10) == pytest.approx(
-            evaluate_policy_cost(env, pol), abs=1e-12
-        )
-
 
 class TestCheckFinite:
     def _state(self):

@@ -9,9 +9,9 @@ most easily changes:
   rows pairwise, not in agent order);
 * finite-MDP runs of 100 steps (the transition gate sums the agents'
   scalar actions in order);
-* uncentered features without bias, the polynomial schedule, rollout
-  evaluation, last-sample actor gradients, warm-started critics, path,
-  star and edgeless graphs, and batches of one step;
+* uncentered features without bias, the polynomial schedule, last-sample
+  actor gradients, warm-started critics, path, star and edgeless graphs,
+  and batches of one step;
 * a projection box of +-0.05 that binds (the default box never does) and
   a single-agent run;
 * the edges of a batch-mode critic segment: link failures, sigma = 0, long
@@ -119,12 +119,6 @@ CELLS.update(
         ),
         "poly-alg2-bandit-compatible-batch": base_config(
             "alg2", "bandit", "compatible", "batch", schedule="polynomial", critic_step=0.5
-        ),
-        "rollout-alg2-finite-mdp-fourier-batch": base_config(
-            "alg2", "finite-mdp", "fourier", "batch", eval_rollout=5
-        ),
-        "rollout-alg1-bandit-compatible-batch": base_config(
-            "alg1", "bandit", "compatible", "batch", eval_rollout=5
         ),
         "last-alg1-bandit-fourier-batch": base_config(
             "alg1", "bandit", "fourier", "batch", actor_grad="last-sample"

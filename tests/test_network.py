@@ -44,13 +44,14 @@ class TestCommGraph:
 
     def test_edge_list_round_trip(self):
         text = "# comment line\n0 1\n1 2\n\n0 3\n"
-        g = load_edge_list(text)
+        g = load_edge_list(text, n=4)
         assert g.n == 4
         assert g.edges == ((0, 1), (0, 3), (1, 2))
-        bigger = load_edge_list(text, n=6)
+        bigger = load_edge_list(text, n=6)  # nodes 4 and 5 are isolated
         assert bigger.n == 6
+        assert bigger.edges == g.edges
         with pytest.raises(ValueError):
-            load_edge_list("0 1 2")
+            load_edge_list("0 1 2", n=3)
         with pytest.raises(ValueError):
             load_edge_list("0 1", n=1)
         with pytest.raises(ValueError, match="line 2: node 5 out of range"):

@@ -3,8 +3,8 @@ their edges (one agent, agents with different action dimensions, constant
 and affine policies), for the exact row forms and the frozen-actor critic
 segment built on them, for the finite MDP's transition sampler, for the
 joint environment action-gradients and the exact policy gradient built on
-them, for the pairwise critic disagreement, and for divergence detection in
-the training loops."""
+them, for the exact policy cost, for the pairwise critic disagreement, and
+for divergence detection in the training loops."""
 
 import copy
 import re
@@ -30,6 +30,7 @@ from netdac.dac import (
     _critic_segment,
     alg1_step,
     alg2_step,
+    evaluate_policy_cost,
     init_train_state,
 )
 from netdac.env import (
@@ -48,7 +49,7 @@ from netdac.network import (
     metropolis_weights,
     ring_graph,
 )
-from netdac.oracle import exact_eval, exact_policy_gradient
+from netdac.oracle import exact_eval, exact_gain, exact_policy_gradient
 from netdac.policy import GaussianNoise, affine_policy, constant_policy
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -468,6 +469,22 @@ def test_joint_gradients_are_the_per_agent_formulas(case):
         q = np.concatenate([r + t for r, t in _per_agent_grads(env, s, acts, ev.bias)])
         want_pg += ev.stationary[s] * pol.jac_apply(s, q, np.zeros(pol.total_param_dim))
     assert exact_policy_gradient(env, pol).tobytes() == want_pg.tobytes()
+
+
+@_SETTINGS
+@given(st.booleans(), st.integers(1, 10), st.integers(1, 20), st.integers(2, 8), st.integers(0, 99))
+def test_policy_cost_is_the_exact_gain(bandit, agents, m, states, seed):
+    # The bandit takes the one-state shortcut; it must keep the chain's bits.
+    rng = np.random.default_rng(seed)
+    if bandit:
+        env = make_bandit(agents, m, seed)
+        pol = constant_policy(env.action_dims)
+    else:
+        env = make_finite_mdp(states, agents, seed)
+        pol = affine_policy(states, env.action_dims)
+    pol.set_theta_flat(rng.uniform(-2.0, 2.0, pol.total_param_dim))
+    cost = evaluate_policy_cost(env, pol)
+    assert cost.hex() == (-exact_gain(env, pol)).hex() == (-exact_eval(env, pol).gain).hex()
 
 
 @_SETTINGS

@@ -5,8 +5,8 @@
 Each tree runs in its own Python process (``PYTHONPATH=<tree>``) over the
 same N random configs: both algorithms, both environments, all feature maps,
 batch and online updates, every topology, link failures, polynomial
-schedules, rollout evaluation, binding projection boxes, and step sizes that
-diverge (critic steps x20 or x2000, actor steps x1e6 in a 1e12 box).  Every
+schedules, binding projection boxes, and step sizes that diverge (critic
+steps x20 or x2000, actor steps x1e6 in a 1e12 box).  Every
 fifth config is wide (up to 10 agents, 20 action dimensions, batches of 40
 and 20 features), so products run past numpy's 16-wide dot unroll.  Every
 ``MetricsRow`` field but the wall clock is compared bit for bit (as
@@ -66,7 +66,6 @@ def random_config(seed: int, index: int):
         batches=int(rng.integers(1, 7)),
         actor_grad=pick("batch-mean", "batch-mean", "last-sample"),
         critic_warm_start=pick(True, False),
-        eval_rollout=pick(0, 0, 5),
     )
     if pick(True, False, False, False):
         cfg.update(proj_lo=-0.05, proj_hi=0.05)
